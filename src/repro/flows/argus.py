@@ -7,6 +7,28 @@ mirrors the fields the paper lists: addressing, protocol, timestamps,
 per-direction packet/byte counts, connection state, and the 64-byte payload
 snippet (hex-encoded).
 
+Column-wise reading
+-------------------
+:func:`read_flows_report` and :func:`loads_report` never build one
+:class:`FlowRecord` per row.  They read the trace in fixed-size chunks
+of :data:`_CHUNK_ROWS` physical lines, split each chunk into its 13
+field columns (plain ``str.split`` when the chunk has no quotes, NULs
+or stray carriage returns; the csv module otherwise), and parse column
+by column into a :class:`~repro.flows.batch.FlowBatch`: numpy columns
+for times, ports and counts, a shared address dictionary with integer
+codes for ``src``/``dst``, small codes for ``proto``/``state``, and the
+payload snippets packed into one ``bytes`` buffer.  The chunks are
+concatenated and wrapped by :meth:`FlowStore.from_batch`, whose
+columnar snapshot is one stable sort of those columns.  Chunking bounds
+the per-field strings held at once, and with them peak memory.
+
+Validity has one definition, :func:`row_to_flow` (and the
+:class:`FlowRecord` invariants behind it).  The column parse applies
+the same conversions (``float``, ``int``, the enum values,
+``bytes.fromhex``) and the same range checks; a chunk in which any row
+fails them is re-parsed row by row with :func:`row_to_flow`, which is
+what produces each bad row's ``path:lineno`` error.
+
 Fault-tolerant ingest
 ---------------------
 An eight-day border trace is millions of rows from a real collector —
@@ -20,29 +42,34 @@ some of them torn, truncated, or mis-encoded.  :func:`read_flows` and
   a *dead-letter CSV* (the same columns plus an ``error`` column) so
   it can be inspected or replayed after the collector bug is fixed.
 
-:func:`read_flows_report` returns the :class:`IngestReport` alongside
-the store; the ``repro_ingest_rows_{ok,skipped,quarantined}_total``
-counters feed the metrics registry.  Writes go through the crash-safe
-atomic writer (:mod:`repro.resilience.io`), so a killed
-:func:`write_flows` never leaves a half-written trace where a complete
-one stood.
+The policy applies on the row-by-row path above, so counts, error
+samples and dead-letter rows are those of a plain per-row parse.  An
+active :func:`repro.resilience.faults.parse_corruptor` mangles rows
+before either path sees them.  :func:`read_flows_report` returns the
+:class:`IngestReport` alongside the store; the
+``repro_ingest_rows_{ok,skipped,quarantined}_total`` counters feed the
+metrics registry.  Writes go through the crash-safe atomic writer
+(:mod:`repro.resilience.io`), so a killed :func:`write_flows` never
+leaves a half-written trace where a complete one stood.
 
 Out-of-core ingest
 ------------------
-With ``to_store=`` the parsed rows are streamed straight into a
-:class:`repro.storage.SegmentStore` at that directory — at no point is
-the full trace materialised in memory; only one segment's buffer
-(``segment_rows`` rows) is ever held.  The return value is then a
-:class:`repro.storage.StoreView` (FlowStore-shaped, bit-identical
-features) instead of a :class:`FlowStore`.  The error policies compose
-unchanged: quarantined rows still land in the dead-letter CSV while
-good rows land in segments.
+With ``to_store=`` each parsed chunk's columns are streamed straight
+into a :class:`repro.storage.SegmentStore` at that directory — at no
+point is the full trace materialised in memory; only one chunk and one
+segment's buffer (``segment_rows`` rows) are ever held.  The return
+value is then a :class:`repro.storage.StoreView` (FlowStore-shaped,
+bit-identical features) instead of a :class:`FlowStore`.  The error
+policies compose unchanged: quarantined rows still land in the
+dead-letter CSV while good rows land in segments.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -51,15 +78,19 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from ..obs import metrics as obs_metrics
 from ..obs.logconf import get_logger
 from ..resilience import faults
 from ..resilience.io import atomic_write
-from .record import FlowRecord, FlowState, Protocol
+from .batch import PROTOCOLS, STATES, AddressBook, FlowBatch
+from .record import PAYLOAD_SNIPPET_LEN, FlowRecord, FlowState, Protocol
 from .store import FlowStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (lazy at runtime)
@@ -266,24 +297,176 @@ class _DeadLetterWriter:
 
 
 def _strip_bom(cell: str) -> str:
-    return cell.lstrip("﻿")
+    return cell.lstrip("\ufeff")
 
 
-def _parse_rows(
-    rows: Iterator[List[str]],
+#: Physical lines parsed per column chunk.  It bounds the per-field
+#: strings one parse holds at once — parsing a whole trace in one go
+#: costs about a third more peak memory — and is not a tuning knob.
+_CHUNK_ROWS = 8192
+
+_WIDTH = len(ARGUS_COLUMNS)
+_PROTO_CODE = {proto.value: code for code, proto in enumerate(PROTOCOLS)}
+_STATE_CODE = {state.value: code for code, state in enumerate(STATES)}
+_COMMAS = operator.methodcaller("count", ",")
+#: Longest all-digit field the vectorised integer parse takes; every
+#: such value fits in an int64.
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+
+
+def _plain_lines(lines: List[str]) -> Optional[List[str]]:
+    """``lines`` without terminators, or ``None`` if the csv module must
+    split them (quotes, NULs, or carriage returns outside CRLF pairs).
+
+    For the remaining lines csv parsing is exactly ``line.split(",")``.
+    """
+    text = "".join(lines)
+    if '"' in text or "\x00" in text:
+        return None
+    if text.count("\r") == text.count("\n") == text.count("\r\n"):
+        body = text.split("\r\n")
+    elif "\r" not in text:
+        body = text.split("\n")
+    else:
+        return None
+    if len(body) == len(lines) + 1 and not body[-1]:
+        body.pop()  # the empty tail after the last terminator
+    return body if len(body) == len(lines) else None
+
+
+def _csv_rows(lines: List[str], handle: Iterator[str], first: int):
+    """csv-parse a chunk's rows, reading on from ``handle`` only to
+    finish a quoted field that spans the chunk's last line.
+
+    Returns ``(rows, linenos, lines_consumed)``; blank rows are dropped.
+    """
+    reader = csv.reader(itertools.chain(lines, handle))
+    rows: List[List[str]] = []
+    linenos: List[int] = []
+    for row in reader:
+        if row:
+            rows.append(row)
+            linenos.append(first + reader.line_num)
+        if reader.line_num >= len(lines):
+            break
+    return rows, linenos, reader.line_num
+
+
+def _int_matrix(columns: Sequence[Sequence[str]], n: int) -> np.ndarray:
+    """Parse integer columns exactly as ``int()`` would, into an int64
+    ``(len(columns), n)`` array.
+
+    Plain ASCII-digit fields of at most :data:`_MAX_DIGITS` digits are
+    decoded vectorised; anything else goes through ``int()`` itself, so
+    ``ValueError``/``OverflowError`` mean a field ``int()`` rejects or
+    an int64 cannot hold.
+    """
+    joined = ",".join([",".join(column) for column in columns])
+    if (
+        n
+        and joined.isascii()
+        and joined.replace(",", "").isdigit()
+        and ",," not in joined
+        and joined[0] != ","
+        and joined[-1] != ","
+    ):
+        buf = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+        is_sep = buf == ord(",")
+        ends = np.append(np.flatnonzero(is_sep), len(buf))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if int((ends - starts).max()) <= _MAX_DIGITS:
+            digits = buf.astype(np.int64) - ord("0")
+            digits[is_sep] = 0
+            power = ends[np.cumsum(is_sep)] - np.arange(len(buf)) - 1
+            values = np.add.reduceat(digits * _POW10[power], starts)
+            return values.reshape(len(columns), n)
+    return np.array(
+        [np.fromiter(map(int, column), np.int64, n) for column in columns],
+        dtype=np.int64,
+    ).reshape(len(columns), n)
+
+
+def _columns_batch(
+    columns: Sequence[Sequence[str]], book: AddressBook
+) -> Optional[FlowBatch]:
+    """Vectorised parse of one chunk's 13 field columns.
+
+    Accepts exactly the rows :func:`row_to_flow` accepts, with the same
+    values; returns ``None`` if any row would fail it, so the caller
+    can re-parse the chunk row by row for the precise error.
+    """
+    (start, end, proto, src, sport, dst, dport, src_pkts, dst_pkts,
+     src_bytes, dst_bytes, state, payload_hex) = columns
+    n = len(start)
+    try:
+        starts = np.fromiter(map(float, start), np.float64, n)
+        ends = np.fromiter(map(float, end), np.float64, n)
+        ints = _int_matrix(
+            (sport, dport, src_pkts, dst_pkts, src_bytes, dst_bytes), n
+        )
+        proto_codes = np.fromiter(map(_PROTO_CODE.__getitem__, proto), np.uint8, n)
+        state_codes = np.fromiter(map(_STATE_CODE.__getitem__, state), np.uint8, n)
+        payloads = list(map(bytes.fromhex, payload_hex))
+    except (ValueError, OverflowError, KeyError):
+        return None
+    if not (
+        np.isfinite(starts).all()
+        and np.isfinite(ends).all()
+        and (ends >= starts).all()
+        and ints[2:].min() >= 0
+        and ints[:2].min() >= 0
+        and ints[:2].max() <= 65535
+    ):
+        return None
+    lengths = np.fromiter(map(len, payloads), np.int64, n)
+    if lengths.max() > PAYLOAD_SNIPPET_LEN:
+        payloads = [payload[:PAYLOAD_SNIPPET_LEN] for payload in payloads]
+        np.minimum(lengths, PAYLOAD_SNIPPET_LEN, out=lengths)
+    payload_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=payload_offsets[1:])
+    sports, dports, src_pkts_, dst_pkts_, src_bytes_, dst_bytes_ = ints
+    return FlowBatch(
+        addresses=book.names,
+        src_codes=book.encode(src),
+        dst_codes=book.encode(dst),
+        starts=starts,
+        ends=ends,
+        proto_codes=proto_codes,
+        sports=sports,
+        dports=dports,
+        src_pkts=src_pkts_,
+        dst_pkts=dst_pkts_,
+        src_bytes=src_bytes_,
+        dst_bytes=dst_bytes_,
+        state_codes=state_codes,
+        payloads=b"".join(payloads),
+        payload_offsets=payload_offsets,
+    )
+
+
+def _parse_batches(
+    handle: Iterator[str],
     *,
     source: str,
     errors: str,
     report: IngestReport,
     dead_letter: Optional[_DeadLetterWriter],
-) -> Iterator[FlowRecord]:
-    """Parse CSV rows under the given malformed-row policy.
+    book: AddressBook,
+) -> Iterator[FlowBatch]:
+    """Parse a trace's lines into one :class:`FlowBatch` per chunk.
 
-    ``rows`` must be a ``csv.reader`` (its ``line_num`` attribute
-    provides the physical line for error context).  A UTF-8 BOM on the
+    Each chunk of :data:`_CHUNK_ROWS` physical lines is split into 13
+    field columns and parsed column by column (:func:`_columns_batch`).
+    A chunk that fails those checks is re-parsed row by row with
+    :func:`row_to_flow`, the one definition of a valid row, which
+    gives every bad row its ``source:lineno`` error under the
+    malformed-row policy.  An active :func:`faults.parse_corruptor`
+    mangles rows before either parse sees them.  A UTF-8 BOM on the
     header row is tolerated — collectors on Windows prepend one.
     """
-    header = next(rows, None)
+    header_reader = csv.reader(handle)
+    header = next(header_reader, None)
     if header is None:
         return
     if header:
@@ -291,30 +474,59 @@ def _parse_rows(
     if tuple(header) != ARGUS_COLUMNS:
         raise ValueError(f"{source}: unrecognised trace header: {header!r}")
     corrupt = faults.parse_corruptor()
-    for row in rows:
-        if not row:
-            continue
-        if corrupt is not None:
-            row = corrupt(row)
-        try:
-            flow = row_to_flow(row)
-        except ValueError as exc:
-            lineno = getattr(rows, "line_num", "?")
-            message = f"{source}:{lineno}: {exc}"
-            if errors == "strict":
-                raise ValueError(message) from exc
-            report._note_error(message)
-            if errors == "quarantine":
-                report.rows_quarantined += 1
-                _ROWS_QUARANTINED.inc()
-                if dead_letter is not None:
-                    dead_letter.append(row, str(exc))
-            else:
-                report.rows_skipped += 1
-                _ROWS_SKIPPED.inc()
-            continue
-        report.rows_ok += 1
-        yield flow
+    lineno = header_reader.line_num
+
+    def reject(row: List[str], at: int, exc: ValueError) -> None:
+        message = f"{source}:{at}: {exc}"
+        if errors == "strict":
+            raise ValueError(message) from exc
+        report._note_error(message)
+        if errors == "quarantine":
+            report.rows_quarantined += 1
+            _ROWS_QUARANTINED.inc()
+            if dead_letter is not None:
+                dead_letter.append(row, str(exc))
+        else:
+            report.rows_skipped += 1
+            _ROWS_SKIPPED.inc()
+
+    while True:
+        lines = list(itertools.islice(handle, _CHUNK_ROWS))
+        if not lines:
+            break
+        body = _plain_lines(lines)
+        batch: Optional[FlowBatch] = None
+        if body is None:
+            rows, linenos, consumed = _csv_rows(lines, handle, lineno)
+        else:
+            consumed = len(body)
+            rows = [line for line in body if line] if "" in body else body
+            plain = rows and corrupt is None
+            if plain and set(map(_COMMAS, rows)) == {_WIDTH - 1}:
+                flat = ",".join(rows).split(",")
+                batch = _columns_batch(
+                    [flat[k::_WIDTH] for k in range(_WIDTH)], book
+                )
+            if batch is None:
+                linenos = [lineno + i + 1 for i, line in enumerate(body) if line]
+                rows = [line.split(",") for line in rows]
+        if batch is None and rows:
+            if corrupt is not None:
+                rows = [corrupt(row) for row in rows]
+            if all(len(row) == _WIDTH for row in rows):
+                batch = _columns_batch(list(zip(*rows)), book)
+            if batch is None:
+                records = []
+                for row, at in zip(rows, linenos):
+                    try:
+                        records.append(row_to_flow(row))
+                    except ValueError as exc:
+                        reject(row, at, exc)
+                batch = FlowBatch.from_records(records, book)
+        lineno += consumed
+        if batch is not None and len(batch):
+            report.rows_ok += len(batch)
+            yield batch
     _ROWS_OK.inc(report.rows_ok)
     if report.rows_bad:
         logger.warning(
@@ -334,11 +546,11 @@ def _check_errors_mode(errors: str) -> None:
 
 
 def _spill_to_store(
-    flows: Iterator[FlowRecord],
+    batches: Iterator[FlowBatch],
     to_store: Union[str, Path],
     segment_rows: Optional[int],
 ):
-    """Stream parsed flows into a fresh segment store; return its view.
+    """Stream parsed chunks into a fresh segment store; return its view.
 
     Imported lazily — :mod:`repro.storage` builds on the flows package,
     so the dependency must stay call-time-only, and readers that never
@@ -351,9 +563,41 @@ def _spill_to_store(
     with store.writer(
         segment_rows=segment_rows or DEFAULT_SEGMENT_ROWS
     ) as writer:
-        for flow in flows:
-            writer.add(flow)
+        for batch in batches:
+            writer.extend(
+                batch.addresses,
+                batch.src_codes,
+                batch.dst_codes,
+                batch.starts,
+                batch.src_bytes,
+                batch.success,
+            )
     return StoreView(store)
+
+
+def _read_store(
+    handle: Iterator[str],
+    *,
+    source: str,
+    errors: str,
+    report: IngestReport,
+    dead_letter: Optional[_DeadLetterWriter],
+    to_store: Optional[Union[str, Path]] = None,
+    segment_rows: Optional[int] = None,
+):
+    book = AddressBook()
+    batches = _parse_batches(
+        handle,
+        source=source,
+        errors=errors,
+        report=report,
+        dead_letter=dead_letter,
+        book=book,
+    )
+    if to_store is not None:
+        return _spill_to_store(batches, to_store, segment_rows)
+    parts = list(batches)
+    return FlowStore.from_batch(FlowBatch.concat(parts, book.names))
 
 
 def read_flows_report(
@@ -393,17 +637,15 @@ def read_flows_report(
         # utf-8-sig transparently strips a leading BOM; BOM-free files
         # read identically.
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            flows = _parse_rows(
-                csv.reader(handle),
+            store = _read_store(
+                handle,
                 source=str(path),
                 errors=errors,
                 report=report,
                 dead_letter=sink,
+                to_store=to_store,
+                segment_rows=segment_rows,
             )
-            if to_store is not None:
-                store = _spill_to_store(flows, to_store, segment_rows)
-            else:
-                store = FlowStore(flows)
     finally:
         if sink is not None:
             sink.close()
@@ -466,14 +708,12 @@ def loads_report(
         report.dead_letter = str(dead_letter)
         sink = _DeadLetterWriter(dead_letter)
     try:
-        store = FlowStore(
-            _parse_rows(
-                csv.reader(io.StringIO(text.lstrip("﻿"))),
-                source="<string>",
-                errors=errors,
-                report=report,
-                dead_letter=sink,
-            )
+        store = _read_store(
+            io.StringIO(text.lstrip("\ufeff")),
+            source="<string>",
+            errors=errors,
+            report=report,
+            dead_letter=sink,
         )
     finally:
         if sink is not None:

@@ -19,6 +19,7 @@ Each record carries the fields the paper relies on:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -31,6 +32,10 @@ __all__ = [
 
 #: Number of leading payload bytes retained per flow, as in the paper (§III).
 PAYLOAD_SNIPPET_LEN = 64
+
+#: Largest packet/byte count a flow may carry: counts are 64-bit
+#: signed integers in every columnar form of a flow.
+MAX_COUNT = 2**63 - 1
 
 
 class Protocol(enum.Enum):
@@ -85,7 +90,7 @@ class FlowRecord:
         Transport protocol (TCP or UDP).
     start, end:
         Flow start and end times, in seconds since the epoch of the
-        containing trace.  ``end >= start``.
+        containing trace.  Both finite, ``end >= start``.
     src_bytes, dst_bytes:
         Application bytes sent by the initiator / by the responder.
     src_pkts, dst_pkts:
@@ -112,12 +117,27 @@ class FlowRecord:
     payload: bytes = field(default=b"", repr=False)
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
+        # One chained comparison per invariant on the common path; it
+        # also fails for NaN, whose comparisons are all false.
+        if not (-math.inf < self.start <= self.end < math.inf):
+            if not (math.isfinite(self.start) and math.isfinite(self.end)):
+                raise ValueError(
+                    f"flow start {self.start!r} and end {self.end!r} "
+                    "must be finite"
+                )
             raise ValueError(
                 f"flow end {self.end!r} precedes start {self.start!r}"
             )
-        if min(self.src_bytes, self.dst_bytes, self.src_pkts, self.dst_pkts) < 0:
-            raise ValueError("packet/byte counts must be non-negative")
+        if not (
+            0 <= self.src_bytes <= MAX_COUNT
+            and 0 <= self.dst_bytes <= MAX_COUNT
+            and 0 <= self.src_pkts <= MAX_COUNT
+            and 0 <= self.dst_pkts <= MAX_COUNT
+        ):
+            counts = (self.src_bytes, self.dst_bytes, self.src_pkts, self.dst_pkts)
+            if min(counts) < 0:
+                raise ValueError("packet/byte counts must be non-negative")
+            raise ValueError("packet/byte counts must fit in 64 bits")
         if not (0 <= self.sport <= 65535 and 0 <= self.dport <= 65535):
             raise ValueError(
                 f"ports must be in [0, 65535]: {self.sport}, {self.dport}"

@@ -66,6 +66,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..detection.pipeline import PipelineResult, find_plotters
 from ..flows.argus import loads_report
 from ..flows.store import FlowStore
@@ -79,7 +81,7 @@ from ..storage.format import StorageError
 from .config import ServeConfig
 from .journal import COORD_LOG_NAME, CoordinatorLog, LogState
 from .sharding import ShardMap
-from .worker import row_of, worker_main
+from .worker import worker_main
 
 __all__ = ["ServeCoordinator", "BacklogFull", "NotLeader"]
 
@@ -748,13 +750,45 @@ class ServeCoordinator:
                 _REJECTED.inc(reason="backlog")
                 raise BacklogFull(backlog, self.config.max_backlog_rows)
         flows, report = loads_report(text, errors=self.config.on_parse_error)
-        batches: Dict[int, List] = defaultdict(list)
+        batch = flows.batch
+        names = batch.addresses
+        # The store's start order (stable over arrival), so spools and
+        # workers see rows exactly as iterating the store would yield.
+        order = np.argsort(batch.starts, kind="stable")
+        src_codes = batch.src_codes[order]
+        dst_codes = batch.dst_codes[order]
+        starts = batch.starts[order]
+        src_bytes = batch.src_bytes[order]
+        success = batch.success[order]
+        shard_of_code = np.zeros(len(names), dtype=np.int64)
+        for code in np.unique(src_codes).tolist():
+            shard_of_code[code] = self.shard_map.shard_of(names[code])
+        row_shards = shard_of_code[src_codes]
+        batches: Dict[int, List] = {}
         with self._lock:
-            for flow in flows:
-                shard = self.shard_map.shard_of(flow.src)
-                self._writers[shard].add(flow)
-                self._hosts_per_shard[shard].add(flow.src)
-                batches[shard].append(row_of(flow))
+            for shard in dict.fromkeys(row_shards.tolist()):
+                rows = np.flatnonzero(row_shards == shard)
+                shard_src = src_codes[rows]
+                self._writers[shard].extend(
+                    names,
+                    shard_src,
+                    dst_codes[rows],
+                    starts[rows],
+                    src_bytes[rows],
+                    success[rows],
+                )
+                self._hosts_per_shard[shard].update(
+                    names[code] for code in np.unique(shard_src).tolist()
+                )
+                batches[shard] = list(
+                    zip(
+                        [names[code] for code in shard_src.tolist()],
+                        [names[code] for code in dst_codes[rows].tolist()],
+                        starts[rows].tolist(),
+                        src_bytes[rows].tolist(),
+                        (success[rows] == 1).tolist(),
+                    )
+                )
             reply: Dict[str, object] = {
                 "rows_ok": len(flows),
                 "rows_bad": report.rows_bad,

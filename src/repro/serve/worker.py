@@ -24,10 +24,11 @@ Workers are intentionally stateless beyond the current window: the
 coordinator owns the per-shard spool, so a killed worker's replacement
 simply replays the spool from the last finalised window boundary
 (``replay_t0``) on the same window grid (``window_origin``) and ends up
-scoring the identical window the dead worker was filling.  Flows are
-projected onto the storage plane's five columns before they travel
-(:func:`row_of` / :func:`record_of`), so live ingest and spool replay
-feed the detector byte-for-byte the same records.
+scoring the identical window the dead worker was filling.  Flows
+travel as rows of the storage plane's five columns, built by the
+coordinator straight from the parsed columns and turned back into
+records by :func:`record_of`, so live ingest and spool replay feed the
+detector byte-for-byte the same records.
 """
 
 from __future__ import annotations
@@ -45,23 +46,12 @@ from ..storage import SegmentStore
 from ..storage.format import StorageError
 from .config import ServeConfig
 
-__all__ = ["row_of", "record_of", "replay_records", "worker_main"]
+__all__ = ["record_of", "replay_records", "worker_main"]
 
 #: The projected row a flow travels as: (src, dst, start, src_bytes,
 #: success) — exactly the columns the storage plane keeps and the
 #: features consume.
 Row = Tuple[str, str, float, int, bool]
-
-
-def row_of(flow: FlowRecord) -> Row:
-    """Project a flow onto the wire/storage columns."""
-    return (
-        flow.src,
-        flow.dst,
-        flow.start,
-        flow.src_bytes,
-        not flow.state.failed,
-    )
 
 
 def record_of(row: Row) -> FlowRecord:

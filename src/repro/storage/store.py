@@ -42,6 +42,7 @@ from typing import (
 
 import numpy as np
 
+from ..flows.store import host_start_order
 from ..obs import metrics as obs_metrics
 from ..obs.logconf import get_logger
 from ..resilience import faults
@@ -709,12 +710,10 @@ class SegmentStore:
             translate[global_hosts[host]] = rank
         host_idx = translate[host_idx]
 
-        # The in-memory plane's ordering contract, reproduced: a single
-        # stable sort by start time over arrival order (FlowStore's
-        # global sort), then a stable group-by host — within each host,
-        # rows ascend by start with arrival order breaking ties.
-        order = np.argsort(starts_arr, kind="stable")
-        order = order[np.argsort(host_idx[order], kind="stable")]
+        # The in-memory plane's ordering contract, from the one sort
+        # both planes share: grouped by host, rows ascend by start
+        # within each host with arrival order breaking ties.
+        order = host_start_order(host_idx, starts_arr)
 
         host_idx = host_idx[order]
         counts = np.bincount(host_idx, minlength=len(ordered_hosts)).astype(

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..flows.parallel import _columns_core, _ShardColumns
 from ..flows.record import FlowRecord, FlowState, Protocol
-from ..flows.store import ColumnarFlows
+from ..flows.store import ColumnarFlows, columnar_from_columns
 from .format import StorageBudgetError  # noqa: F401  (re-exported for callers)
 from .store import Gathered, SegmentStore
 
@@ -45,17 +45,6 @@ __all__ = ["PARALLEL_SPEC_TAG", "StoreView"]
 #: opener refuses specs with any other tag, so an accidental payload
 #: cannot be misread as a store address.
 PARALLEL_SPEC_TAG = "repro-storage"
-
-
-def _recode_first_appearance(codes: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Renumber codes by first appearance (the in-memory plane's order)."""
-    uniques, first_pos, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_pos)
-    rank = np.empty(len(uniques), dtype=np.int64)
-    rank[order] = np.arange(len(uniques), dtype=np.int64)
-    return rank[inverse], len(uniques)
 
 
 class StoreView:
@@ -143,20 +132,13 @@ class StoreView:
             or self._columnar_generation != self.version
         ):
             gathered = self.gather()
-            dst_codes, n_destinations = _recode_first_appearance(
-                gathered.dst_codes
-            )
-            host_offsets = np.zeros(len(gathered.hosts) + 1, dtype=np.int64)
-            np.cumsum(gathered.counts, out=host_offsets[1:])
-            self._columnar = ColumnarFlows(
-                hosts=gathered.hosts,
-                index_of={h: i for i, h in enumerate(gathered.hosts)},
-                host_offsets=host_offsets,
-                starts=gathered.starts,
-                src_bytes=gathered.src_bytes,
-                success=gathered.success,
-                dst_codes=dst_codes,
-                n_destinations=n_destinations,
+            self._columnar = columnar_from_columns(
+                gathered.hosts,
+                np.repeat(np.arange(len(gathered.hosts)), gathered.counts),
+                gathered.starts,
+                gathered.src_bytes,
+                gathered.success,
+                gathered.dst_codes,
             )
             self._columnar_generation = self.version
         return self._columnar

@@ -1,7 +1,8 @@
 """Buffered, threshold-cut segment writing.
 
 :class:`SegmentWriter` is the one producer-side object: callers push
-flow rows (or :class:`~repro.flows.record.FlowRecord` objects) in
+flow rows (one at a time, as
+:class:`~repro.flows.record.FlowRecord` objects, or as columns) in
 arrival order and the writer factorises addresses, buffers columns,
 and cuts a finished segment into its :class:`~repro.storage.store.SegmentStore`
 whenever the buffer crosses the row or byte threshold.  Cut boundaries
@@ -21,7 +22,7 @@ surgical on replay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -121,6 +122,41 @@ class SegmentWriter:
             not flow.state.failed,
         )
 
+    def extend(
+        self,
+        names: Sequence[str],
+        src_codes: np.ndarray,
+        dst_codes: np.ndarray,
+        starts: np.ndarray,
+        src_bytes: np.ndarray,
+        success: np.ndarray,
+    ) -> None:
+        """Buffer many rows given as columns, in ingest order.
+
+        ``src_codes``/``dst_codes`` index ``names``.  Segments are cut
+        at the same rows, with the same bytes, as :meth:`append`-ing
+        the rows one by one.
+        """
+        n = len(starts)
+        limit = min(self.segment_rows, -(-self.segment_bytes // _ROW_OVERHEAD))
+        done = 0
+        while done < n:
+            take = min(n - done, limit - len(self._starts))
+            part = slice(done, done + take)
+            self._src_codes.extend(
+                _local_codes(src_codes[part], names, self._host_code, self._hosts)
+            )
+            self._dst_codes.extend(
+                _local_codes(dst_codes[part], names, self._dst_code, self._dsts)
+            )
+            self._starts.extend(starts[part].tolist())
+            self._src_bytes.extend(src_bytes[part].tolist())
+            self._success.extend(success[part].tolist())
+            self._approx_bytes += take * _ROW_OVERHEAD
+            done += take
+            if len(self._starts) >= limit:
+                self.cut()
+
     @property
     def buffered_rows(self) -> int:
         """Rows currently buffered (not yet in any segment)."""
@@ -171,3 +207,22 @@ class SegmentWriter:
         # commit a half-consumed trace tail as if it were complete.
         if exc_type is None:
             self.close()
+
+
+def _local_codes(
+    codes: np.ndarray,
+    names: Sequence[str],
+    table: Dict[str, int],
+    listing: List[str],
+) -> List[int]:
+    """Segment-local codes of ``names[codes]``, growing ``table``/``listing``."""
+    codes = codes.tolist()
+    remap = {}
+    for code in dict.fromkeys(codes):
+        name = names[code]
+        local = table.get(name)
+        if local is None:
+            local = table[name] = len(listing)
+            listing.append(name)
+        remap[code] = local
+    return list(map(remap.__getitem__, codes))
