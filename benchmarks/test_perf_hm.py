@@ -1,10 +1,11 @@
 """Perf harness for the θ_hm pairwise-EMD distance engine.
 
-Times the ``loop`` / ``vectorized`` / ``parallel`` backends of
+Times the ``vectorized`` / ``pruned`` engines of
 :func:`repro.stats.emd.pairwise_emd` over synthetic host populations at
-several scales, verifies the fast backends reproduce the reference
-matrix, and writes the measurements to ``BENCH_hm.json`` at the repo
-root so successive PRs accumulate a perf trajectory.
+several scales, verifies both reproduce a per-pair
+:func:`~repro.stats.emd.emd_1d` oracle matrix (computed untimed), and
+writes the measurements to ``BENCH_hm.json`` at the repo root so
+successive PRs accumulate a perf trajectory.
 
 All headline timings run with the observability layer *disabled* (its
 production default).  Each scale additionally records an
@@ -22,7 +23,7 @@ or through pytest::
     PYTHONPATH=src python -m pytest benchmarks/test_perf_hm.py -q
 
 A second sweep benchmarks the *clustering-level* pruned engine
-(``cluster_hosts(backend="pruned")`` vs the exact ``parallel`` matrix
+(``cluster_hosts(backend="pruned")`` vs the exact ``vectorized`` matrix
 path) on modal timer populations — the certified-decomposition shape —
 at 5k-host scale, asserting full suspect-set equivalence at every
 measured size and recording certification stats (groups, pruned-pair
@@ -52,7 +53,7 @@ from history import append_history
 
 from repro import obs
 from repro.detection.humanmachine import cluster_hosts
-from repro.stats.emd import pairwise_emd
+from repro.stats.emd import emd_1d, pairwise_emd
 from repro.stats.emdindex import pruned_partition
 from repro.stats.histogram import Histogram, build_histogram
 
@@ -125,6 +126,16 @@ def _merge_report(out_path: Path, report: dict, section_keys) -> None:
     print(f"wrote {out_path}")
 
 
+def _oracle_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
+    """The reference matrix: one per-pair :func:`emd_1d` call each."""
+    n = len(histograms)
+    matrix = np.zeros((n, n), dtype=float)
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = emd_1d(histograms[i], histograms[j])
+    return matrix
+
+
 def _time_backend(
     histograms: Sequence[Histogram], backend: str, repeats: int
 ) -> Dict[str, object]:
@@ -193,28 +204,25 @@ def run_benchmark(
     for n_hosts in host_counts:
         hists = synthesize_histograms(n_hosts)
         max_bins = max(len(h.centers) for h in hists)
-        # The loop backend is the slow reference; one round suffices.
-        loop = _time_backend(hists, "loop", repeats=1)
+        reference = _oracle_matrix(hists)
         vec = _time_backend(hists, "vectorized", repeats=repeats)
-        par = _time_backend(hists, "parallel", repeats=1)
-        reference = loop["matrix"]
+        pruned = _time_backend(hists, "pruned", repeats=repeats)
         entry = {
             "n_hosts": n_hosts,
             "n_pairs": n_hosts * (n_hosts - 1) // 2,
             "max_bins": max_bins,
             "backends": {},
         }
-        for name, run in (("loop", loop), ("vectorized", vec), ("parallel", par)):
+        for name, run in (("vectorized", vec), ("pruned", pruned)):
             diff = float(np.abs(run["matrix"] - reference).max())
             if diff > ATOL:
                 raise AssertionError(
-                    f"{name} backend diverges from loop at "
+                    f"{name} backend diverges from per-pair emd_1d at "
                     f"{n_hosts} hosts: max|diff|={diff:g}"
                 )
             entry["backends"][name] = {
                 "seconds": run["seconds"],
-                "speedup_vs_loop": loop["seconds"] / run["seconds"],
-                "max_abs_diff_vs_loop": diff,
+                "max_abs_diff_vs_emd_1d": diff,
             }
         # Per-stage kernel telemetry (repro.obs): block counts, kernel
         # time, and what turning instrumentation on costs at this scale.
@@ -222,11 +230,8 @@ def run_benchmark(
         report["results"].append(entry)
         o = entry["observability"]
         print(
-            f"n_hosts={n_hosts:5d}  loop={loop['seconds']:8.3f}s  "
-            f"vectorized={vec['seconds']:8.3f}s "
-            f"({entry['backends']['vectorized']['speedup_vs_loop']:6.1f}x)  "
-            f"parallel={par['seconds']:8.3f}s "
-            f"({entry['backends']['parallel']['speedup_vs_loop']:6.1f}x)  "
+            f"n_hosts={n_hosts:5d}  vectorized={vec['seconds']:8.3f}s  "
+            f"pruned={pruned['seconds']:8.3f}s  "
             f"[{o['kernel_blocks']} blocks, obs-on "
             f"{o['enabled_overhead_vs_disabled']:.2f}x]"
         )
@@ -259,7 +264,7 @@ def run_pruned_benchmark(
     out_path: Path,
     repeats: int = 2,
 ) -> dict:
-    """Clustering-level sweep: pruned engine vs the exact parallel path.
+    """Clustering-level sweep: pruned engine vs the exact vectorized path.
 
     Every scale asserts full equivalence — identical clusters, kept
     set, τ_hm and diameters (to ``ATOL``) — so the recorded speedups
@@ -277,10 +282,10 @@ def run_pruned_benchmark(
         hists = modal_histograms(n_hosts)
         histograms = {f"h{i:06d}": h for i, h in enumerate(hists)}
         pruned_s, pruned = _time_clustering(histograms, "pruned", repeats)
-        exact_s, exact = _time_clustering(histograms, "parallel", 1)
+        exact_s, exact = _time_clustering(histograms, "vectorized", 1)
         if pruned.clusters != exact.clusters or pruned.kept != exact.kept:
             raise AssertionError(
-                f"pruned clustering diverges from parallel at {n_hosts} hosts"
+                f"pruned clustering diverges from vectorized at {n_hosts} hosts"
             )
         diff = float(
             np.abs(np.asarray(pruned.diameters) - np.asarray(exact.diameters)).max()
@@ -295,8 +300,8 @@ def run_pruned_benchmark(
             "n_hosts": n_hosts,
             "n_pairs": n_hosts * (n_hosts - 1) // 2,
             "pruned_seconds": pruned_s,
-            "parallel_seconds": exact_s,
-            "speedup_vs_parallel": exact_s / pruned_s,
+            "vectorized_seconds": exact_s,
+            "speedup_vs_vectorized": exact_s / pruned_s,
             "max_abs_diameter_diff": diff,
             "certified": prune_report.certified,
             "fallback_reason": prune_report.fallback_reason,
@@ -307,8 +312,8 @@ def run_pruned_benchmark(
         report["pruned_clustering"].append(entry)
         print(
             f"n_hosts={n_hosts:5d}  pruned={pruned_s:8.3f}s  "
-            f"parallel={exact_s:8.3f}s "
-            f"({entry['speedup_vs_parallel']:6.1f}x)  "
+            f"vectorized={exact_s:8.3f}s "
+            f"({entry['speedup_vs_vectorized']:6.1f}x)  "
             f"certified={prune_report.certified} "
             f"prune_frac={prune_report.prune_fraction:.3f} "
             f"rounds={prune_report.rounds}"

@@ -12,12 +12,16 @@ one record per quarantined row, and strict mode must still fail fast on
 the same trace.
 
 **Infrastructure chaos** — FindPlotters runs over the *clean* store
-with three faults armed at once: one pooled extraction worker is
-OOM-killed mid-wave, the checkpoint directory raises on write, and the
-first θ_hm call fails.  The run must complete, report every degradation
-(pool restart, checkpointing disabled, backend stepped down), and
-produce *exactly* the suspects of the fault-free baseline — degraded
-infrastructure changes wall time, never verdicts.
+with two faults armed at once: one pooled extraction worker is
+OOM-killed mid-wave, and the checkpoint directory raises on write.
+The run must complete, report every degradation (pool restart,
+checkpointing disabled), and produce *exactly* the suspects of the
+fault-free baseline — degraded infrastructure changes wall time, never
+verdicts.
+
+**Stage failure** — a failure injected into θ_hm, a stage with no
+fallback rung, must fail the run with the injected error instead of
+being absorbed silently.
 
 The metrics JSONL (span events + final registry snapshot) and the
 dead-letter CSV land in ``--artifacts`` for CI upload.
@@ -101,14 +105,13 @@ def check_dirty_ingest(store, artifacts: Path, tmp: Path) -> None:
 
 
 def check_infrastructure_chaos(store, baseline, artifacts, tmp, workers):
-    """Worker kill + checkpoint I/O failure + θ_hm fault, in one run."""
+    """Worker kill + checkpoint I/O failure, in one run."""
     sentinel = tmp / "kill-once.sentinel"
     sentinel.touch()
     checkpoint_dir = tmp / "checkpoints"
     with faults.injected(
         extract_kill_once=str(sentinel),
         io_errors=["checkpoint", "manifest"],
-        stage_fail={"theta_hm": 1},
     ):
         chaotic = find_plotters(
             store,
@@ -122,7 +125,7 @@ def check_infrastructure_chaos(store, baseline, artifacts, tmp, workers):
     for event in chaotic.degradations:
         print(f"  degradation: {event.describe()}")
     stages = {d.stage for d in chaotic.degradations}
-    for expected in ("extract_pool", "extract_checkpoint", "theta_hm"):
+    for expected in ("extract_pool", "extract_checkpoint"):
         assert expected in stages, (
             f"expected a {expected!r} degradation, got {sorted(stages)}"
         )
@@ -134,6 +137,17 @@ def check_infrastructure_chaos(store, baseline, artifacts, tmp, workers):
         f"infrastructure chaos OK: {len(chaotic.degradations)} degradations "
         f"reported, suspects identical ({len(baseline.suspects)} hosts)"
     )
+
+
+def check_stage_failure_is_loud(store) -> None:
+    """An injected θ_hm failure raises; there is no rung to absorb it."""
+    with faults.injected(stage_fail={"theta_hm": 1}):
+        try:
+            find_plotters(store)
+        except faults.InjectedFault as exc:
+            print(f"theta_hm failure surfaced as required: {exc}")
+        else:
+            raise SystemExit("injected theta_hm failure was absorbed")
 
 
 def main() -> int:
@@ -169,6 +183,8 @@ def main() -> int:
                 check_infrastructure_chaos(
                     store, baseline, artifacts, tmp, args.workers
                 )
+            with phase("stage failure"):
+                check_stage_failure_is_loud(store)
     finally:
         sink.write_event(obs.metrics_event())
         obs.remove_sink(sink)

@@ -11,18 +11,15 @@ decomposition (no fallback) and prune a substantial fraction of pairs,
 with the report's accounting consistent (exact + pruned = total).
 
 **Equivalence checksum** — clusters, kept set, τ_hm and diameters from
-``cluster_hosts(backend="pruned")`` must match the exact engine's
-bit-for-bit / to 1e-12; a SHA-256 over the canonicalised clustering is
-printed for both engines and must agree.
+``cluster_hosts(backend="pruned")`` must match the exact ``vectorized``
+engine's bit-for-bit / to 1e-12; a SHA-256 over the canonicalised
+clustering is printed for both engines and must agree.
 
 **Lower-bound soundness (sampled)** — on a random pair sample, every
-index lower bound must sit at or below the exact kernel distance.
+index lower bound must sit at or below the exact kernel distance, and
+the kernel distance must equal per-pair ``emd_1d`` to 1e-12.
 
-**Escape hatch** — ``exact=True`` must resolve away from the pruned
-engine and produce the same clustering.
-
-Scale and reference engine are configurable so CI can trade coverage
-for wall time.
+Scale is configurable so CI can trade coverage for wall time.
 
 Usage:  python scripts/check_hm_pruning.py --hosts 5000
 """
@@ -42,7 +39,7 @@ _checklib.bootstrap()
 import numpy as np  # noqa: E402
 
 from repro.detection.humanmachine import cluster_hosts  # noqa: E402
-from repro.stats.emd import condensed_for_pairs, resolve_backend  # noqa: E402
+from repro.stats.emd import condensed_for_pairs, emd_1d  # noqa: E402
 from repro.stats.emdindex import build_index, pruned_partition  # noqa: E402
 from repro.stats.histogram import build_histogram  # noqa: E402
 
@@ -96,16 +93,16 @@ def check_certification(hists, cut_fraction: float):
     return report
 
 
-def check_equivalence(hists, exact_backend: str):
+def check_equivalence(hists):
     histograms = {f"h{i:06d}": h for i, h in enumerate(hists)}
     t0 = time.perf_counter()
     pruned = cluster_hosts(histograms, 70.0, backend="pruned")
     pruned_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    exact = cluster_hosts(histograms, 70.0, backend=exact_backend)
+    exact = cluster_hosts(histograms, 70.0, backend="vectorized")
     exact_s = time.perf_counter() - t0
     assert pruned.backend == "pruned", pruned.backend
-    assert exact.backend == exact_backend, exact.backend
+    assert exact.backend == "vectorized", exact.backend
     assert pruned.clusters == exact.clusters
     assert pruned.kept == exact.kept
     diff = float(
@@ -120,7 +117,7 @@ def check_equivalence(hists, exact_backend: str):
     assert left == right, f"checksum mismatch: {left} != {right}"
     print(
         f"equivalence: OK — checksum {left[:16]}… identical "
-        f"(pruned {pruned_s:.2f}s vs {exact_backend} {exact_s:.2f}s, "
+        f"(pruned {pruned_s:.2f}s vs vectorized {exact_s:.2f}s, "
         f"{exact_s / pruned_s:.1f}x)"
     )
     return pruned
@@ -138,22 +135,16 @@ def check_lower_bounds(hists, n_samples: int = 2000, seed: int = 0):
     exact = condensed_for_pairs(hists, rows, cols)
     worst = float((bounds - exact).max())
     assert worst <= 1e-9, f"lower-bound violation: {worst:g}"
+    oracle = np.array(
+        [emd_1d(hists[r], hists[c]) for r, c in zip(rows[:200], cols[:200])]
+    )
+    drift = float(np.abs(exact[:200] - oracle).max())
+    assert drift <= 1e-12, f"kernel drifts {drift:g} from per-pair emd_1d"
     tight = bounds[exact > 0] / exact[exact > 0]
     print(
         f"lower bounds: OK — {len(rows)} sampled pairs, worst excess "
         f"{worst:.2e}, median tightness {float(np.median(tight)):.3f}"
     )
-
-
-def check_escape_hatch(hists, exact_backend: str):
-    histograms = {f"h{i:06d}": h for i, h in enumerate(hists)}
-    hatch = cluster_hosts(histograms, 70.0, backend="pruned", exact=True)
-    assert hatch.backend != "pruned", hatch.backend
-    assert hatch.backend == resolve_backend("auto", len(hists), exact=True)
-    reference = cluster_hosts(histograms, 70.0, backend=exact_backend)
-    assert hatch.kept == reference.kept
-    assert hatch.clusters == reference.clusters
-    print(f"escape hatch: OK — exact=True resolved to {hatch.backend!r}")
 
 
 def main() -> int:
@@ -167,30 +158,19 @@ def main() -> int:
     parser.add_argument(
         "--cut-fraction", type=float, default=0.05, help="dendrogram link cut"
     )
-    parser.add_argument(
-        "--exact-backend",
-        default=None,
-        help="reference engine for the equivalence check (default: what "
-        "auto+exact resolves to on this machine)",
-    )
     args = parser.parse_args()
 
     hists = modal_histograms(args.hosts, n_modes=args.modes)
-    exact_backend = args.exact_backend or resolve_backend(
-        "auto", len(hists), exact=True
-    )
     print(
         f"population: {args.hosts} hosts, {args.modes} timer families; "
-        f"exact reference engine: {exact_backend!r}"
+        "exact reference engine: 'vectorized'"
     )
     with phase("certification"):
         check_certification(hists, args.cut_fraction)
     with phase("equivalence checksum"):
-        check_equivalence(hists, exact_backend)
+        check_equivalence(hists)
     with phase("lower-bound soundness"):
         check_lower_bounds(hists)
-    with phase("escape hatch"):
-        check_escape_hatch(hists, exact_backend)
     print("hm-pruning check: all phases OK")
     return 0
 

@@ -13,6 +13,7 @@ from typing import Set
 
 from ..detection.reduction import initial_data_reduction
 from ..detection.testbase import TestResult
+from ..flows.parallel import extract_features_parallel
 from ..flows.store import FlowStore
 
 __all__ = ["FailedConnDetector"]
@@ -28,4 +29,5 @@ class FailedConnDetector:
 
     def detect(self, store: FlowStore, hosts: Set[str]) -> TestResult:
         """Flag high-failure hosts — Plotters, Traders and noise alike."""
-        return initial_data_reduction(store, hosts, self.percentile)
+        features = extract_features_parallel(store, hosts)
+        return initial_data_reduction(features, hosts, self.percentile)

@@ -12,6 +12,7 @@ from typing import Set
 
 from ..detection.testbase import TestResult
 from ..detection.volume import theta_vol
+from ..flows.parallel import extract_features_parallel
 from ..flows.store import FlowStore
 
 __all__ = ["VolumeOnlyDetector"]
@@ -27,4 +28,5 @@ class VolumeOnlyDetector:
 
     def detect(self, store: FlowStore, hosts: Set[str]) -> TestResult:
         """Flag hosts with low average flow size — nothing else."""
-        return theta_vol(store, hosts, self.percentile)
+        features = extract_features_parallel(store, hosts)
+        return theta_vol(features, hosts, self.percentile)

@@ -143,7 +143,6 @@ def _cmd_detect(args) -> int:
     store = _read_trace(args)
     config = PipelineConfig(
         hm_backend=args.hm_backend,
-        hm_exact=args.hm_exact,
         n_workers=args.workers,
         degrade=not args.no_degrade,
     )
@@ -291,11 +290,6 @@ def main(argv=None) -> int:
         default="auto",
         help="pairwise-EMD engine for theta_hm (default auto; all "
         "engines yield identical suspects)",
-    )
-    detect.add_argument(
-        "--hm-exact",
-        action="store_true",
-        help="forbid the pruned theta_hm engine (exactness escape hatch)",
     )
     detect.add_argument(
         "--workers",

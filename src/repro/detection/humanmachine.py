@@ -15,12 +15,11 @@ surviving clusters is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..flows.metrics import HostFeatures, interstitial_times
-from ..flows.store import FlowStore
+from ..flows.metrics import HostFeatures
 from ..obs.tracing import span
 from ..stats.clustering import (
     DEFAULT_CUT_FRACTION,
@@ -33,7 +32,13 @@ from ..stats.histogram import Histogram, build_histogram
 from ..stats.thresholds import percentile_threshold
 from .testbase import TestResult
 
-__all__ = ["HmClustering", "theta_hm", "host_histograms"]
+__all__ = [
+    "HmClustering",
+    "HistogramSource",
+    "theta_hm",
+    "host_histograms",
+    "interstitial_histogram",
+]
 
 #: Hosts need at least this many interstitial samples for a meaningful
 #: histogram; below it the density estimate is pure sampling noise and
@@ -45,6 +50,14 @@ MIN_SAMPLES = 20
 #: gaps below a millisecond are indistinguishable at flow granularity.
 _LOG_FLOOR = 1e-3
 
+#: Where θ_hm gets its histograms: called with the feature bundles and
+#: the sorted θ_hm input hosts, returns a histogram per host that has
+#: enough samples.  The default is :func:`host_histograms`; the online
+#: detector passes its reservoir-version cache.
+HistogramSource = Callable[
+    [Mapping[str, HostFeatures], Sequence[str]], Dict[str, Histogram]
+]
+
 
 @dataclass(frozen=True)
 class HmClustering:
@@ -53,8 +66,8 @@ class HmClustering:
     Carries the clusters, their diameters, and the applied threshold so
     the evaluation (and the evasion study) can see how hosts grouped.
     ``backend`` is the *resolved* pairwise-EMD engine that actually ran
-    (never ``"auto"``), so callers and tests can observe which rung of
-    the escalation ladder a given population landed on.
+    (never ``"auto"``), so callers and tests can observe which engine a
+    given population landed on.
     """
 
     hosts: Tuple[str, ...]
@@ -62,50 +75,47 @@ class HmClustering:
     diameters: Tuple[float, ...]
     threshold: float
     kept: Tuple[Tuple[str, ...], ...]
-    backend: str = "loop"
+    backend: str = "vectorized"
+
+
+def interstitial_histogram(
+    samples: Iterable[float], log_scale: bool = True
+) -> Histogram:
+    """One host's interstitial-time histogram (log10-seconds by default).
+
+    With ``log_scale`` samples are binned in log10-seconds.  This is a
+    deliberate refinement over the paper's raw-seconds histograms: EMD
+    over raw times is dominated by the largest gaps (hours-scale
+    session boundaries), drowning the sub-minute timer structure
+    Figure 3 keys on; log space compares timing *patterns* across
+    scales.  ``log_scale=False`` recovers the paper's literal
+    construction (see the binning ablation benchmark).
+    """
+    if log_scale:
+        samples = [np.log10(max(s, _LOG_FLOOR)) for s in samples]
+    return build_histogram(list(samples))
 
 
 def host_histograms(
-    store: FlowStore,
+    features: Mapping[str, HostFeatures],
     hosts: Sequence[str],
     min_samples: int = MIN_SAMPLES,
     log_scale: bool = True,
-    features: Optional[Mapping[str, HostFeatures]] = None,
 ) -> Dict[str, Histogram]:
     """Interstitial-time histograms for hosts with enough samples.
 
-    Hosts with fewer than ``min_samples`` per-destination gaps are
-    dropped: they never revisit destinations often enough to exhibit a
-    timing signature (and so cannot be machine-periodic in the sense the
-    test measures).
-
-    With ``log_scale`` (the default) samples are binned in log10-seconds.
-    This is a deliberate refinement over the paper's raw-seconds
-    histograms: EMD over raw times is dominated by the largest gaps
-    (hours-scale session boundaries), drowning the sub-minute timer
-    structure Figure 3 keys on; log space compares timing *patterns*
-    across scales.  ``log_scale=False`` recovers the paper's literal
-    construction (see the binning ablation benchmark).
-
-    With ``features`` the interstitial samples are read off
-    pre-extracted bundles (same samples, same order — the parallel
-    engine is pinned bit-identical to :func:`interstitial_times`)
-    instead of re-scanning the store.
+    Hosts with fewer than ``min_samples`` per-destination gaps (or no
+    feature bundle) are dropped: they never revisit destinations often
+    enough to exhibit a timing signature (and so cannot be
+    machine-periodic in the sense the test measures).  See
+    :func:`interstitial_histogram` for ``log_scale``.
     """
     histograms: Dict[str, Histogram] = {}
     for host in hosts:
-        if features is not None:
-            bundle = features.get(host)
-            samples: List[float] = (
-                list(bundle.interstitials) if bundle is not None else []
-            )
-        else:
-            samples = interstitial_times(store.flows_from(host))
-        if len(samples) < min_samples:
+        bundle = features.get(host)
+        if bundle is None or len(bundle.interstitials) < min_samples:
             continue
-        if log_scale:
-            samples = [np.log10(max(s, _LOG_FLOOR)) for s in samples]
-        histograms[host] = build_histogram(samples)
+        histograms[host] = interstitial_histogram(bundle.interstitials, log_scale)
     return histograms
 
 
@@ -115,7 +125,6 @@ def cluster_hosts(
     cut_fraction: float = DEFAULT_CUT_FRACTION,
     min_cluster_size: int = 2,
     backend: str = "auto",
-    exact: bool = False,
 ) -> HmClustering:
     """Cluster hosts by EMD and keep tight clusters.
 
@@ -129,10 +138,10 @@ def cluster_hosts(
     every backend produces the same clusters, diameters, τ_hm and kept
     set (pinned to atol=1e-12 by the equivalence suite), so results do
     not depend on the choice.  The ``"pruned"`` backend skips provably
-    irrelevant host pairs via :mod:`repro.stats.emdindex`; ``exact=True``
-    is the escape hatch that forbids it (``"auto"`` then stops
-    escalating at ``"parallel"``).  The engine that actually ran is
-    reported on the result's ``backend`` field and the span.
+    irrelevant host pairs via :mod:`repro.stats.emdindex`;
+    ``"vectorized"`` always computes the full matrix.  The engine that
+    actually ran is reported on the result's ``backend`` field and the
+    span.
     """
     hosts = tuple(sorted(histograms))
     if not hosts:
@@ -150,7 +159,7 @@ def cluster_hosts(
             kept=kept_single,
         )
     n = len(hosts)
-    resolved = resolve_backend(backend, n, exact=exact)
+    resolved = resolve_backend(backend, n)
     with span(
         "cluster_hosts",
         hosts=n,
@@ -203,7 +212,7 @@ def cluster_hosts(
 
 
 def theta_hm(
-    store: FlowStore,
+    features: Mapping[str, HostFeatures],
     hosts: Set[str],
     percentile: float = 70.0,
     cut_fraction: float = DEFAULT_CUT_FRACTION,
@@ -211,26 +220,23 @@ def theta_hm(
     log_scale: bool = True,
     min_cluster_size: int = 2,
     backend: str = "auto",
-    exact: bool = False,
-    features: Optional[Mapping[str, HostFeatures]] = None,
+    histograms: Optional[HistogramSource] = None,
 ) -> TestResult:
     """Select hosts in timing clusters whose diameter is ≤ τ_hm.
 
     The returned :class:`~repro.detection.testbase.TestResult` metric
-    maps each clustered host to the diameter of its cluster.
-    ``backend`` and ``exact`` are forwarded to the pairwise-EMD engine;
-    ``features`` (pre-extracted bundles) to :func:`host_histograms`.
+    maps each clustered host to the diameter of its cluster and its
+    ``detail`` is the :class:`HmClustering`.  ``backend`` is forwarded
+    to the pairwise-EMD engine.  ``histograms`` replaces
+    :func:`host_histograms` (and with it ``min_samples`` and
+    ``log_scale``) as the source of the per-host histograms.
     """
-    histograms = host_histograms(
-        store, sorted(hosts), min_samples, log_scale, features
-    )
+    if histograms is None:
+        hists = host_histograms(features, sorted(hosts), min_samples, log_scale)
+    else:
+        hists = histograms(features, sorted(hosts))
     clustering = cluster_hosts(
-        histograms,
-        percentile,
-        cut_fraction,
-        min_cluster_size,
-        backend=backend,
-        exact=exact,
+        hists, percentile, cut_fraction, min_cluster_size, backend=backend
     )
     selected = {host for cluster in clustering.kept for host in cluster}
     metric: Dict[str, float] = {}

@@ -12,11 +12,12 @@ accumulated in the current window.  Windows tumble: when a flow arrives
 past the window end, the window is finalised (its result retained in
 ``history``) and a new one starts.
 
-Fidelity note: θ_vol, θ_churn and the reduction step are computed from
-the streaming features *exactly* as in the batch pipeline; θ_hm uses
-the per-host interstitial reservoir (an unbiased sample) instead of the
-complete sample set, so its histograms converge to the batch ones as
-the reservoir grows.
+Fidelity note: the evaluation *is* the batch pipeline's stage core
+(:func:`repro.detection.pipeline.run_stages`) run on the streamed
+features, so θ_vol, θ_churn and the reduction step match the batch
+pipeline exactly; θ_hm uses the per-host interstitial reservoir (an
+unbiased sample) instead of the complete sample set, so its histograms
+converge to the batch ones as the reservoir grows.
 """
 
 from __future__ import annotations
@@ -26,31 +27,19 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
+from ..flows.metrics import HostFeatures
 from ..flows.record import FlowRecord
 from ..flows.store import FlowStore
 from ..flows.streaming import StreamingFeatureExtractor
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
-from ..resilience import (
-    Degradation,
-    StageGuard,
-    atomic_write_text,
-    hm_backend_ladder,
-)
+from ..resilience import Degradation, StageGuard, atomic_write_text
 from ..resilience.faults import io_point
-from ..stats.histogram import Histogram, build_histogram
-from ..stats.thresholds import percentile_threshold, select_above, select_below
-from .humanmachine import MIN_SAMPLES, _LOG_FLOOR, cluster_hosts
-from .pipeline import (
-    PipelineConfig,
-    PipelineResult,
-    _record_stage,
-    find_plotters,
-)
+from ..stats.histogram import Histogram
+from .humanmachine import MIN_SAMPLES, interstitial_histogram
+from .pipeline import PipelineConfig, PipelineResult, find_plotters, run_stages
 
 __all__ = ["OnlineVerdict", "OnlineDetector"]
 
@@ -166,11 +155,10 @@ class OnlineDetector:
         instants as its predecessor (see :meth:`finalize_window`).
 
     Graceful degradation (honouring ``config.degrade``): a verdict-log
-    write failure disables the log for the rest of the run instead of
-    killing a detector that has days of in-memory state, and a θ_hm
-    backend failure during evaluation steps down the backend ladder to
-    ``loop``.  Every such step is recorded on :attr:`guard` (and hence
-    in :attr:`degradations`), logged, counted and span-emitted — the
+    or spool write failure disables the log (or spool) for the rest of
+    the run instead of killing a detector that has days of in-memory
+    state.  Every such step is recorded on :attr:`guard` (and hence in
+    :attr:`degradations`), logged, counted and span-emitted — the
     detector never falls back silently.
     """
 
@@ -462,31 +450,35 @@ class OnlineDetector:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _host_histogram(self, host, samples) -> Optional[Histogram]:
-        """The host's interstitial histogram, cached per reservoir version.
+    def _cached_histograms(
+        self, features: Mapping[str, HostFeatures], hosts: Sequence[str]
+    ) -> Dict[str, Histogram]:
+        """θ_hm's histogram source: per-host, cached per reservoir version.
 
-        Returns ``None`` for hosts without enough samples.  The cache key
+        Hosts without enough samples get no histogram.  The cache key
         is the extractor's reservoir version counter, which changes iff
-        the sample set changed — so between evaluations of a busy window,
-        only hosts with new samples pay the histogram rebuild.
+        the sample set changed — so between evaluations of a busy
+        window, only hosts with new samples pay the histogram rebuild.
         """
-        if len(samples) < MIN_SAMPLES:
-            return None
-        version = self._extractor.reservoir_version(host)
-        if self.cache_histograms:
-            cached = self._hist_cache.get(host)
+        histograms: Dict[str, Histogram] = {}
+        for host in hosts:
+            samples = features[host].interstitials
+            if len(samples) < MIN_SAMPLES:
+                continue
+            version = self._extractor.reservoir_version(host)
+            cached = self._hist_cache.get(host) if self.cache_histograms else None
             if cached is not None and cached[0] == version:
                 self.cache_hits += 1
                 _HIST_CACHE.inc(result="hit")
-                return cached[1]
-        self.cache_misses += 1
-        _HIST_CACHE.inc(result="miss")
-        if self.config.hm_log_scale:
-            samples = [float(np.log10(max(s, _LOG_FLOOR))) for s in samples]
-        hist = build_histogram(list(samples))
-        if self.cache_histograms:
-            self._hist_cache[host] = (version, hist)
-        return hist
+                histograms[host] = cached[1]
+                continue
+            self.cache_misses += 1
+            _HIST_CACHE.inc(result="miss")
+            hist = interstitial_histogram(samples, self.config.hm_log_scale)
+            if self.cache_histograms:
+                self._hist_cache[host] = (version, hist)
+            histograms[host] = hist
+        return histograms
 
     def evaluate(self, now: Optional[float] = None) -> OnlineVerdict:
         """Run the FindPlotters logic over the current window's state."""
@@ -505,103 +497,27 @@ class OnlineDetector:
             for host, feats in self._extractor.all_features().items()
             if host in self.internal_hosts
         }
-        evaluated_at = (
-            now
-            if now is not None
-            else (self._window_start or 0.0)
-        )
         _EVALUATIONS.inc()
         if obs_metrics.is_enabled():
             _TRACKED_HOSTS.set(len(features))
             _RESERVOIR_SAMPLES.set(
                 sum(len(f.interstitials) for f in features.values())
             )
-
-        # Initial data reduction on failed-connection rates.
-        rates = {
-            h: f.failed_conn_rate
-            for h, f in features.items()
-            if f.successful_flow_count > 0
-        }
-        if not rates:
-            return OnlineVerdict(
-                window_index=self._window_index,
-                evaluated_at=evaluated_at,
-                hosts_seen=len(features),
-                reduced=frozenset(),
-                suspects=frozenset(),
-            )
-        reduction_threshold = percentile_threshold(
-            list(rates.values()), self.config.reduction_percentile
+        # The stage core also refreshes the shared repro_stage_* funnel
+        # gauges, so a live /metrics scrape mid-window shows the same
+        # series as a batch run (the values describe this evaluation).
+        result = run_stages(
+            features,
+            set(features),
+            self.config,
+            histograms=self._cached_histograms,
         )
-        reduced = select_above(rates, reduction_threshold)
-        # Refresh the shared stage-funnel gauges so a live /metrics
-        # scrape mid-window shows the same repro_stage_* series as a
-        # batch run (the values describe this evaluation).
-        _record_stage(
-            "reduction", len(rates), len(reduced), reduction_threshold
-        )
-
-        # θ_vol and θ_churn from the streamed features.
-        vol_metric = {h: features[h].avg_flow_size for h in reduced}
-        churn_metric = {h: features[h].new_ip_fraction for h in reduced}
-        suspects: Set[str] = set()
-        if vol_metric:
-            vol_threshold = percentile_threshold(
-                list(vol_metric.values()), self.config.vol_percentile
-            )
-            churn_threshold = percentile_threshold(
-                list(churn_metric.values()), self.config.churn_percentile
-            )
-            vol_selected = select_below(vol_metric, vol_threshold)
-            churn_selected = select_below(churn_metric, churn_threshold)
-            _record_stage(
-                "theta_vol", len(reduced), len(vol_selected), vol_threshold
-            )
-            _record_stage(
-                "theta_churn", len(reduced), len(churn_selected),
-                churn_threshold,
-            )
-            union = vol_selected | churn_selected
-            # θ_hm over reservoir-sampled interstitials.
-            histograms: Dict[str, Histogram] = {}
-            for host in sorted(union):
-                hist = self._host_histogram(host, features[host].interstitials)
-                if hist is not None:
-                    histograms[host] = hist
-            # Backend ladder as in the batch pipeline: every backend
-            # yields the same clustering result, so stepping down
-            # changes speed, never verdicts.
-            def cluster_with(backend):
-                def run():
-                    return cluster_hosts(
-                        histograms,
-                        self.config.hm_percentile,
-                        self.config.hm_cut_fraction,
-                        backend=backend,
-                        exact=self.config.hm_exact,
-                    )
-
-                return run
-
-            clustering = self.guard.run(
-                "theta_hm",
-                [
-                    (b, cluster_with(b))
-                    for b in hm_backend_ladder(self.config.hm_backend)
-                ],
-            )
-            suspects = {h for cluster in clustering.kept for h in cluster}
-            _record_stage(
-                "theta_hm", len(union), len(suspects), clustering.threshold
-            )
-
         return OnlineVerdict(
             window_index=self._window_index,
-            evaluated_at=evaluated_at,
+            evaluated_at=now if now is not None else (self._window_start or 0.0),
             hosts_seen=len(features),
-            reduced=frozenset(reduced),
-            suspects=frozenset(suspects),
+            reduced=frozenset(result.reduced_hosts),
+            suspects=frozenset(result.suspects),
         )
 
     # ------------------------------------------------------------------

@@ -7,29 +7,34 @@
       return S_hm
 
 The evaluation applies the initial data-reduction step of §V-A first to
-form S; :func:`find_plotters` performs both, recording every
-intermediate set so the Figure 9 funnel can be reproduced.
+form S.  :func:`run_stages` is the one implementation of that
+composition — reduction, then θ_vol ∪ θ_churn, then θ_hm — over
+per-host feature bundles, recording every intermediate set so the
+Figure 9 funnel can be reproduced, and the stage spans and
+``repro_stage_*`` gauges in one place.  :func:`find_plotters` extracts
+the bundles from a flow store and calls it; the online detector
+(:mod:`repro.detection.incremental`) calls it on streamed bundles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Set, Tuple
 
-from ..flows.metrics import extract_all_features
+from ..flows.metrics import HostFeatures
 from ..flows.parallel import extract_features_parallel
 from ..flows.store import FlowStore
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
-from ..resilience import Degradation, StageGuard, hm_backend_ladder
+from ..resilience import Degradation, StageGuard, faults
 from ..stats.emd import PAIRWISE_BACKENDS
 from .churn import theta_churn
-from .humanmachine import theta_hm
+from .humanmachine import HistogramSource, theta_hm
 from .reduction import initial_data_reduction
 from .testbase import TestResult
 from .volume import theta_vol
 
-__all__ = ["PipelineConfig", "PipelineResult", "find_plotters"]
+__all__ = ["PipelineConfig", "PipelineResult", "find_plotters", "run_stages"]
 
 # The Figure 9 funnel as a metric stream: per stage, how many hosts
 # entered, how many survived, and the dynamic threshold applied.
@@ -53,10 +58,19 @@ _STAGE_THRESHOLD = obs_metrics.gauge(
 )
 
 
-def _record_stage(stage: str, n_in: int, n_out: int, threshold: float) -> None:
+def _stage(
+    stage: str, n_in: int, test: Callable[[], TestResult], **attrs
+) -> TestResult:
+    """Run one detection stage under its span, fault point and gauges."""
+    with span(stage, input_hosts=n_in, **attrs) as s:
+        faults.stage_call(stage)
+        result = test()
+        n_out = len(result.selected)
+        s.set(surviving_hosts=n_out, threshold=result.threshold)
     _STAGE_INPUT.set(n_in, stage=stage)
     _STAGE_SURVIVING.set(n_out, stage=stage)
-    _STAGE_THRESHOLD.set(threshold, stage=stage)
+    _STAGE_THRESHOLD.set(result.threshold, stage=stage)
+    return result
 
 
 @dataclass(frozen=True)
@@ -77,16 +91,12 @@ class PipelineConfig:
     hm_percentile: float = 85.0
     hm_cut_fraction: float = 0.05
     hm_log_scale: bool = True
-    #: Pairwise-EMD engine for θ_hm ("auto", "loop", "vectorized",
-    #: "parallel", "pruned") — all backends yield the same clustering
-    #: result; "pruned" skips provably irrelevant host pairs (see
-    #: :mod:`repro.stats.emdindex`) and "auto" escalates to it on large
-    #: populations unless ``hm_exact`` forbids that.
+    #: Pairwise-EMD engine for θ_hm ("auto", "vectorized", "pruned") —
+    #: both engines yield the same clustering result; "pruned" skips
+    #: provably irrelevant host pairs (see :mod:`repro.stats.emdindex`),
+    #: "vectorized" computes the full matrix, and "auto" switches from
+    #: the one to the other at ``PRUNED_MIN_HOSTS`` hosts.
     hm_backend: str = "auto"
-    #: Escape hatch: force the exact (non-pruned) engines for θ_hm.
-    #: With ``hm_backend="auto"`` escalation then stops at "parallel";
-    #: an explicit ``hm_backend="pruned"`` is resolved as "auto".
-    hm_exact: bool = False
     apply_reduction: bool = True
     #: Worker processes for feature extraction (0/1 = in-process
     #: vectorized; >1 = multi-process via
@@ -113,8 +123,8 @@ class PipelineConfig:
     #: Graceful degradation: when True (the default) a
     #: :class:`~repro.resilience.StageGuard` steps failed stages down
     #: their declared fallback ladder (parallel extraction → sequential,
-    #: vectorized θ_hm backends → ``loop``, checkpointing → none)
-    #: instead of aborting the run; every step is recorded in
+    #: spooled → in-memory extraction, checkpointing → none) instead of
+    #: aborting the run; every step is recorded in
     #: :attr:`PipelineResult.degradations`.  ``False`` (the CLI's
     #: ``--no-degrade``) makes the first stage failure fatal.
     degrade: bool = True
@@ -207,63 +217,41 @@ def _extract_attempts(store, hosts, config, guard):
     The primary mode is whatever the config asked for (the parallel
     engine already warm-restarts a broken pool between its retry waves
     and steps down to no-checkpoint on checkpoint-dir I/O errors,
-    reporting both through the guard).  If the engine still fails —
-    workers dying faster than the retry policy tolerates — the ladder
-    falls back to in-process sharded extraction, and finally to the
-    pure-Python reference extractor, which shares no numpy kernel or
-    pool machinery with the primary path.  All rungs produce
-    bit-identical features, so degrading changes wall time, never
-    suspects.
+    reporting both through the guard).  If a pooled or checkpointed
+    engine still fails — workers dying faster than the retry policy
+    tolerates — the ladder falls back to in-process sharded
+    extraction.  Every rung produces bit-identical features, so
+    degrading changes wall time, never suspects.
 
     **Storage rungs.**  A store exposing ``parallel_spec`` (a
     :class:`repro.storage.StoreView`) runs the same ladder against the
-    segment plane — store-backed workers, then store-backed in-process,
-    then the reference extractor over synthetic records.  An in-memory
-    store with ``config.store_dir`` set gets a leading *spool* rung
-    (spill to segments, extract store-backed); any storage failure
-    there — unwritable directory, torn segment, gather over the memory
-    budget — steps down to the ordinary in-memory ladder, since the
-    trace demonstrably fits in RAM.
+    segment plane.  An in-memory store with ``config.store_dir`` set
+    gets a leading *spool* rung (spill to segments, extract
+    store-backed); any storage failure there — unwritable directory,
+    torn segment, gather over the memory budget — steps down to the
+    ordinary in-memory ladder, since the trace demonstrably fits in RAM.
     """
     primary_mode = (
         f"parallel[{config.n_workers}]" if config.n_workers > 1 else "in-process"
     )
     store_backed = getattr(store, "parallel_spec", None) is not None
+    prefix = "store-" if store_backed else ""
+    primary = dict(
+        n_workers=config.n_workers,
+        checkpoint_dir=config.checkpoint_dir,
+        resume=config.resume,
+    )
 
-    def engine_on(target):
+    def engine_on(target, **options):
         def run():
             return extract_features_parallel(
-                target,
-                hosts,
-                n_workers=config.n_workers,
-                checkpoint_dir=config.checkpoint_dir,
-                resume=config.resume,
-                on_degrade=guard.note,
+                target, hosts, on_degrade=guard.note, **options
             )
 
         return run
-
-    def sequential_on(target):
-        def run():
-            return extract_features_parallel(
-                target, hosts, n_workers=0, on_degrade=guard.note
-            )
-
-        return run
-
-    def reference():
-        all_features = extract_all_features(store)
-        return {h: f for h, f in all_features.items() if h in hosts}
-
-    if store_backed:
-        attempts = [(f"store-{primary_mode}", engine_on(store))]
-        if config.n_workers > 1 or config.checkpoint_dir is not None:
-            attempts.append(("store-sequential", sequential_on(store)))
-        attempts.append(("store-reference", reference))
-        return attempts
 
     attempts = []
-    if config.store_dir is not None:
+    if config.store_dir is not None and not store_backed:
 
         def spooled():
             from ..storage import spool_flow_store
@@ -271,14 +259,76 @@ def _extract_attempts(store, hosts, config, guard):
             view = spool_flow_store(
                 store, config.store_dir, segment_rows=config.segment_rows
             )
-            return engine_on(view)()
+            return engine_on(view, **primary)()
 
         attempts.append((f"store-{primary_mode}", spooled))
-    attempts.append((primary_mode, engine_on(store)))
+    attempts.append((prefix + primary_mode, engine_on(store, **primary)))
     if config.n_workers > 1 or config.checkpoint_dir is not None:
-        attempts.append(("sequential", sequential_on(store)))
-    attempts.append(("reference", reference))
+        attempts.append((prefix + "sequential", engine_on(store, n_workers=0)))
     return attempts
+
+
+def run_stages(
+    features: Mapping[str, HostFeatures],
+    hosts: Set[str],
+    config: PipelineConfig = PipelineConfig(),
+    histograms: Optional[HistogramSource] = None,
+) -> PipelineResult:
+    """Reduction → θ_vol ∪ θ_churn → θ_hm over per-host feature bundles.
+
+    The one implementation of the FindPlotters composition, shared by
+    the batch pipeline and the online detector.  ``hosts`` are the
+    candidates (hosts without a bundle initiated nothing and never
+    survive a stage); ``histograms`` is θ_hm's histogram source (see
+    :data:`repro.detection.humanmachine.HistogramSource`; default:
+    built from the bundles' interstitials).  Each stage runs under its
+    own span and fault-injection point and refreshes the
+    ``repro_stage_*`` funnel gauges.
+    """
+    hosts = set(hosts)
+    reduction: Optional[TestResult] = None
+    working = hosts
+    if config.apply_reduction:
+        reduction = _stage(
+            "reduction",
+            len(hosts),
+            lambda: initial_data_reduction(
+                features, hosts, config.reduction_percentile
+            ),
+        )
+        working = reduction.selected_set
+    volume = _stage(
+        "theta_vol",
+        len(working),
+        lambda: theta_vol(features, working, config.vol_percentile),
+    )
+    churn = _stage(
+        "theta_churn",
+        len(working),
+        lambda: theta_churn(features, working, config.churn_percentile),
+    )
+    union = volume.selected_set | churn.selected_set
+    hm = _stage(
+        "theta_hm",
+        len(union),
+        lambda: theta_hm(
+            features,
+            union,
+            percentile=config.hm_percentile,
+            cut_fraction=config.hm_cut_fraction,
+            log_scale=config.hm_log_scale,
+            backend=config.hm_backend,
+            histograms=histograms,
+        ),
+        backend=config.hm_backend,
+    )
+    return PipelineResult(
+        input_hosts=frozenset(hosts),
+        reduction=reduction,
+        volume=volume,
+        churn=churn,
+        hm=hm,
+    )
 
 
 def find_plotters(
@@ -316,12 +366,11 @@ def find_plotters(
         _RUNS.inc()
 
         # Extract every per-host feature bundle once up front — sharded
-        # and optionally multi-process/checkpointed — then let each
-        # stage read its metric off the bundles instead of re-scanning
-        # the store four times.  The engine is pinned bit-identical to
-        # the sequential extractor, so thresholds and suspects are
-        # unchanged for every n_workers setting.  Stage failures walk
-        # the fallback ladder under the guard.
+        # and optionally multi-process/checkpointed — then run the
+        # stages off the bundles.  The engine is pinned bit-identical
+        # to the per-host reference extractor, so thresholds and
+        # suspects are unchanged for every n_workers setting.
+        # Extraction failures walk the fallback ladder under the guard.
         with span(
             "extract_features", hosts=len(hosts), workers=config.n_workers
         ):
@@ -329,89 +378,9 @@ def find_plotters(
                 "extract_features",
                 _extract_attempts(store, hosts, config, guard),
             )
-
-        reduction: Optional[TestResult] = None
-        working = hosts
-        if config.apply_reduction:
-            with span("reduction", input_hosts=len(hosts)) as s:
-                reduction = initial_data_reduction(
-                    store, hosts, config.reduction_percentile, features
-                )
-                working = reduction.selected_set
-                s.set(
-                    surviving_hosts=len(working),
-                    threshold=reduction.threshold,
-                )
-            _record_stage(
-                "reduction", len(hosts), len(working), reduction.threshold
-            )
-
-        with span("theta_vol", input_hosts=len(working)) as s:
-            volume = theta_vol(
-                store, working, config.vol_percentile, features
-            )
-            s.set(
-                surviving_hosts=len(volume.selected_set),
-                threshold=volume.threshold,
-            )
-        _record_stage(
-            "theta_vol", len(working), len(volume.selected_set),
-            volume.threshold,
-        )
-
-        with span("theta_churn", input_hosts=len(working)) as s:
-            churn = theta_churn(
-                store, working, config.churn_percentile, features=features
-            )
-            s.set(
-                surviving_hosts=len(churn.selected_set),
-                threshold=churn.threshold,
-            )
-        _record_stage(
-            "theta_churn", len(working), len(churn.selected_set),
-            churn.threshold,
-        )
-
-        union = volume.selected_set | churn.selected_set
-        with span(
-            "theta_hm", input_hosts=len(union), backend=config.hm_backend
-        ) as s:
-            # Backend ladder: every backend yields the same clustering
-            # result, so stepping down (pruned → parallel → vectorized
-            # → loop) under the guard changes speed, never suspects.
-            def hm_with(backend):
-                def run():
-                    return theta_hm(
-                        store,
-                        union,
-                        percentile=config.hm_percentile,
-                        cut_fraction=config.hm_cut_fraction,
-                        log_scale=config.hm_log_scale,
-                        backend=backend,
-                        exact=config.hm_exact,
-                        features=features,
-                    )
-
-                return run
-
-            hm = guard.run(
-                "theta_hm",
-                [(b, hm_with(b)) for b in hm_backend_ladder(config.hm_backend)],
-            )
-            s.set(
-                surviving_hosts=len(hm.selected_set),
-                threshold=hm.threshold,
-            )
-        _record_stage(
-            "theta_hm", len(union), len(hm.selected_set), hm.threshold
-        )
+        result = run_stages(features, hosts, config)
         degradations = guard.degradations[degradations_before:]
-        root.set(suspects=len(hm.selected_set), degradations=len(degradations))
-    return PipelineResult(
-        input_hosts=frozenset(hosts),
-        reduction=reduction,
-        volume=volume,
-        churn=churn,
-        hm=hm,
-        degradations=degradations,
-    )
+        root.set(
+            suspects=len(result.suspects), degradations=len(degradations)
+        )
+    return replace(result, degradations=degradations)

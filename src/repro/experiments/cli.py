@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         help=(
             "make pipeline stage failures fatal instead of stepping "
             "down the fallback ladder (parallel extraction -> "
-            "sequential, pruned/vectorized theta_hm -> loop)"
+            "sequential, spooled -> in-memory extraction)"
         ),
     )
     parser.add_argument(
@@ -155,17 +155,9 @@ def main(argv=None) -> int:
         choices=PAIRWISE_BACKENDS,
         default=None,
         help=(
-            "pairwise-EMD engine for theta_hm (default auto, which "
-            "escalates loop -> vectorized -> parallel -> pruned by "
-            "population size; all engines yield identical suspects)"
-        ),
-    )
-    parser.add_argument(
-        "--hm-exact",
-        action="store_true",
-        help=(
-            "forbid the pruned theta_hm engine (auto then stops "
-            "escalating at parallel) — the exactness escape hatch"
+            "pairwise-EMD engine for theta_hm (default auto: vectorized, "
+            "pruned from 4000 hosts; both engines yield identical "
+            "suspects)"
         ),
     )
     parser.add_argument(
@@ -209,7 +201,6 @@ def main(argv=None) -> int:
         or args.no_degrade
         or args.store_dir
         or args.hm_backend
-        or args.hm_exact
     ):
         overrides = dict(
             n_workers=args.workers,
@@ -217,7 +208,6 @@ def main(argv=None) -> int:
             resume=args.resume,
             degrade=not args.no_degrade,
             store_dir=args.store_dir,
-            hm_exact=args.hm_exact,
         )
         if args.hm_backend is not None:
             overrides["hm_backend"] = args.hm_backend

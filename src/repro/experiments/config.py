@@ -27,6 +27,8 @@ from ..datasets.honeynet import (
 )
 from ..datasets.overlay import OverlaidDay, overlay_traces
 from ..detection.pipeline import PipelineConfig, PipelineResult, find_plotters
+from ..flows.metrics import HostFeatures
+from ..flows.parallel import extract_features_parallel
 from ..netsim.rng import substream
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "context_from_env"]
@@ -78,6 +80,7 @@ class ExperimentContext:
         self._campus: Dict[int, CampusDay] = {}
         self._overlaid: Dict[int, OverlaidDay] = {}
         self._pipeline: Dict[int, PipelineResult] = {}
+        self._features: Dict[int, Dict[str, HostFeatures]] = {}
         self._traders: Dict[int, Dict[str, str]] = {}
         self._storm: Optional[HoneynetTrace] = None
         self._nugache: Optional[HoneynetTrace] = None
@@ -143,6 +146,14 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
+    def features(self, day: int) -> Dict[str, HostFeatures]:
+        """Feature bundles of the overlaid day's campus hosts (cached)."""
+        if day not in self._features:
+            self._features[day] = extract_features_parallel(
+                self.overlaid_day(day).store, self.campus_day(day).all_hosts
+            )
+        return self._features[day]
+
     def pipeline_result(self, day: int) -> PipelineResult:
         """FindPlotters on the overlaid day at the default thresholds."""
         if day not in self._pipeline:

@@ -29,20 +29,18 @@ Environment knobs (all unset by default — zero injected faults):
 ``REPRO_FAULT_PARSE_SEED``
     RNG seed for the corruption choice (default 0, deterministic).
 ``REPRO_FAULT_STAGE_FAIL``
-    ``stage:N[,stage:N…]`` — the Nth guarded call of that stage raises
+    ``stage:N[,stage:N…]`` — the Nth call of that stage raises
     :class:`InjectedFault` (1-based, counted process-wide; see
-    :func:`stage_call`).  Because the counter keeps advancing, a
-    declared fallback retrying the stage succeeds — failures are
-    one-shot per N.
+    :func:`stage_call`).  Stages are the guarded ladders
+    (``extract_features``) and the four detection stages
+    (``reduction``, ``theta_vol``, ``theta_churn``, ``theta_hm``).
+    Because the counter keeps advancing, a declared fallback retrying
+    the stage succeeds — failures are one-shot per N; a stage with no
+    fallback rung fails the run.
 ``REPRO_FAULT_IO_ERRORS``
     Comma-separated I/O tags (``checkpoint``, ``manifest``,
     ``dead-letter``, ``verdict-log``, ``segment``, ``store-manifest``,
     ``store-read``) whose I/O raises ``OSError``.
-``REPRO_FAULT_EMD_PRUNE_FAIL``
-    Any truthy value makes every build of the θ_hm candidate-pruning
-    index (:mod:`repro.stats.emdindex`) raise :class:`InjectedFault`,
-    so chaos tests exercise the ``pruned`` → ``parallel`` rung of the
-    θ_hm backend ladder.
 ``REPRO_FAULT_IO_DELAY``
     Seconds of added latency at every tagged I/O point.
 ``REPRO_FAULT_SERVE_WORKER_EXIT_ONCE``
@@ -95,7 +93,6 @@ __all__ = [
     "stage_call",
     "reset_stage_calls",
     "io_point",
-    "prune_point",
     "injected",
 ]
 
@@ -109,7 +106,6 @@ _ALIASES: Mapping[str, Optional[str]] = {
     "REPRO_FAULT_STAGE_FAIL": None,
     "REPRO_FAULT_IO_ERRORS": None,
     "REPRO_FAULT_IO_DELAY": None,
-    "REPRO_FAULT_EMD_PRUNE_FAIL": None,
     "REPRO_FAULT_SERVE_WORKER_EXIT_ONCE": None,
     "REPRO_FAULT_SERVE_COORD_EXIT_ONCE": None,
     "REPRO_FAULT_SERVE_LEASE_STALL": None,
@@ -295,7 +291,7 @@ def _stage_fail_plan() -> Dict[str, int]:
 
 
 def stage_call(stage: str) -> None:
-    """Count one guarded call of ``stage``; raise if this is the Nth.
+    """Count one call of ``stage``; raise if this is the Nth.
 
     The counter advances on every call, so after the injected failure
     the *next* attempt of the same stage (a declared fallback, a
@@ -340,24 +336,6 @@ def io_point(tag: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# θ_hm pruning-index faults
-# ----------------------------------------------------------------------
-def prune_point() -> None:
-    """Raise :class:`InjectedFault` if the pruning index is marked to fail.
-
-    Called at the top of every candidate-pruning index build
-    (:mod:`repro.stats.emdindex`), before any bound is computed — the
-    place a real-world pathology (a degenerate embedding grid, an
-    adversarial population) would surface.  The failure propagates out
-    of the pruned θ_hm backend so the StageGuard ladder steps down to
-    ``parallel``; it is *not* absorbed by the index's own
-    certification fallback, which only handles declared conditions.
-    """
-    if _get("REPRO_FAULT_EMD_PRUNE_FAIL"):
-        raise InjectedFault("injected fault in the EMD pruning index")
-
-
-# ----------------------------------------------------------------------
 # Programmatic installation
 # ----------------------------------------------------------------------
 _KNOB_FOR_KWARG: Mapping[str, str] = {
@@ -369,7 +347,6 @@ _KNOB_FOR_KWARG: Mapping[str, str] = {
     "stage_fail": "REPRO_FAULT_STAGE_FAIL",
     "io_errors": "REPRO_FAULT_IO_ERRORS",
     "io_delay": "REPRO_FAULT_IO_DELAY",
-    "emd_prune_fail": "REPRO_FAULT_EMD_PRUNE_FAIL",
     "serve_worker_exit_once": "REPRO_FAULT_SERVE_WORKER_EXIT_ONCE",
     "serve_coord_exit_once": "REPRO_FAULT_SERVE_COORD_EXIT_ONCE",
     "serve_lease_stall": "REPRO_FAULT_SERVE_LEASE_STALL",

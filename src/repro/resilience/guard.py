@@ -16,11 +16,10 @@ With ``enabled=False`` (the ``--no-degrade`` CLI flag) the guard is a
 transparent pass-through: the first failure propagates, which is what
 you want under a debugger or in a correctness bisect.
 
-The θ_hm backend ladder used by both the batch pipeline and the online
-detector lives here too (:func:`hm_backend_ladder`): ``pruned`` steps
-down through ``parallel`` and ``vectorized`` to ``loop``; ``auto`` and
-``vectorized`` step straight to ``loop`` — the backend of last resort
-with no pruning index, no pool and no numpy broadcasting to fail.
+Ladders are for environmental faults (a dying worker pool, a failing
+disk, an exhausted memory budget).  A rung that merely re-implements
+the same kernel guards against our own bugs, which the equivalence
+tests cover instead, so no stage declares one.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from ..obs.logconf import get_logger
 from ..obs.tracing import span
 from . import faults
 
-__all__ = ["Degradation", "StageGuard", "hm_backend_ladder"]
+__all__ = ["Degradation", "StageGuard"]
 
 T = TypeVar("T")
 
@@ -44,25 +43,6 @@ _DEGRADATIONS = obs_metrics.counter(
     "Stage fallbacks applied by StageGuard",
     labels=("stage", "to_mode"),
 )
-
-#: θ_hm pairwise-EMD backend step-downs (every backend yields the same
-#: clustering result, so stepping down changes speed, never suspects).
-_HM_STEP_DOWN: Dict[str, str] = {
-    "pruned": "parallel",
-    "parallel": "vectorized",
-    "vectorized": "loop",
-    "auto": "loop",
-}
-
-
-def hm_backend_ladder(backend: str) -> Tuple[str, ...]:
-    """The configured backend followed by its fallbacks, best first."""
-    ladder = [backend]
-    while backend in _HM_STEP_DOWN:
-        backend = _HM_STEP_DOWN[backend]
-        ladder.append(backend)
-    return tuple(ladder)
-
 
 @dataclass(frozen=True)
 class Degradation:

@@ -58,7 +58,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..obs import metrics as obs_metrics
-from ..resilience import faults
 from .clustering import Merge, average_linkage, cut_top_links
 from .histogram import Histogram
 
@@ -266,13 +265,10 @@ def build_index(
 
     Cost: O(n · bins · cells) for the embeddings plus O(n · pivots)
     exact kernel pairs — linear in hosts, amortised by the quadratic
-    work it prunes.  The :func:`repro.resilience.faults.prune_point`
-    fault hook fires here (tag ``REPRO_FAULT_EMD_PRUNE_FAIL``) so
-    chaos tests exercise the pruned → parallel ladder rung.
+    work it prunes.
     """
     from .emd import condensed_for_pairs
 
-    faults.prune_point()
     grid = _embedding_grid(histograms, cells)
     embeddings = _cdf_cell_integrals(histograms, grid)
     pivots = _choose_pivots(embeddings, n_pivots)
@@ -301,7 +297,7 @@ def pruned_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
     Pairs whose supports do not overlap are filled from the dominance
     closed form ``|mean_a − mean_b|``; only overlapping pairs run the
     merged-CDF kernel.  The result is exact for every entry (pinned to
-    the loop backend at atol=1e-12 by the equivalence suite).
+    per-pair ``emd_1d`` at atol=1e-12 by the equivalence suite).
     """
     from .emd import condensed_for_pairs
 
@@ -309,7 +305,6 @@ def pruned_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
     matrix = np.zeros((n, n), dtype=float)
     if n < 2:
         return matrix
-    faults.prune_point()
     starts, ends, means = _support_arrays(histograms)
 
     # Every entry provisionally takes the closed form; overlapping
@@ -567,10 +562,9 @@ def _exact_partition(
 ) -> Tuple[List[List[int]], Tuple[float, ...]]:
     """The reference path: full exact matrix, UPGMA, top-fraction cut."""
     from .clustering import cluster_diameters
-    from .emd import pairwise_emd, resolve_backend
+    from .emd import _pairwise_vectorized
 
-    backend = resolve_backend("auto", len(histograms), exact=True)
-    distance = pairwise_emd(histograms, backend=backend)
+    distance = _pairwise_vectorized(histograms)
     member_lists = cut_top_links(average_linkage(distance), cut_fraction)
     diameters = cluster_diameters(distance, member_lists)
     return member_lists, diameters
@@ -661,7 +655,6 @@ def pruned_partition(
     decomposition certifies, and falling back to the exact path when it
     does not.  The returned :class:`PruneReport` says which happened.
     """
-    faults.prune_point()
     n = len(histograms)
     pairs_total = n * (n - 1) // 2
     links_total = max(0, n - 1)

@@ -3,8 +3,9 @@
 Every test injects a fault through :mod:`repro.resilience.faults`,
 runs the pipeline (batch or online), and asserts the run (a) completes,
 (b) produces exactly the clean run's suspects, and (c) reports the
-degradation — the tentpole contract: no silent fallback, no changed
-verdicts, no dead run.
+degradation — the contract: no silent fallback, no changed verdicts,
+no dead run.  A stage without a fallback rung (the four detection
+stages) fails the run loudly instead.
 """
 
 import pytest
@@ -27,27 +28,20 @@ class TestBatchPipeline:
         assert clean_result.degradations == ()
         assert not clean_result.degraded
 
-    def test_theta_hm_failure_steps_down_backend(
-        self, overlaid_day, campus_day, clean_result
-    ):
+    def test_theta_hm_failure_is_fatal(self, overlaid_day, campus_day):
+        # θ_hm has no fallback rung: an injected failure surfaces.
         with injected(stage_fail={"theta_hm": 1}):
-            result = find_plotters(
-                overlaid_day.store, hosts=campus_day.all_hosts
-            )
-        assert result.suspects == clean_result.suspects
-        assert result.degraded
-        (event,) = result.degradations
-        assert event.stage == "theta_hm"
-        assert event.from_mode == "auto"
-        assert event.to_mode == "loop"
-        assert "InjectedFault" in event.error
+            with pytest.raises(InjectedFault, match="theta_hm"):
+                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
 
     def test_extraction_failure_falls_back_identically(
         self, overlaid_day, campus_day, clean_result
     ):
         with injected(stage_fail={"extract_features": 1}):
             result = find_plotters(
-                overlaid_day.store, hosts=campus_day.all_hosts
+                overlaid_day.store,
+                hosts=campus_day.all_hosts,
+                config=PipelineConfig(n_workers=2),
             )
         assert result.suspects == clean_result.suspects
         assert result.volume.selected_set == clean_result.volume.selected_set
@@ -106,13 +100,20 @@ class TestBatchPipeline:
         obs.get_registry().reset()
         obs.enable()
         try:
-            with injected(stage_fail={"theta_hm": 1}):
-                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
+            with injected(stage_fail={"extract_features": 1}):
+                find_plotters(
+                    overlaid_day.store,
+                    hosts=campus_day.all_hosts,
+                    config=PipelineConfig(n_workers=2),
+                )
             counter = obs.get_registry().counter(
                 "repro_stage_degradations_total",
                 labels=("stage", "to_mode"),
             )
-            assert counter.value(stage="theta_hm", to_mode="loop") == 1.0
+            assert (
+                counter.value(stage="extract_features", to_mode="sequential")
+                == 1.0
+            )
         finally:
             obs.disable()
             obs.get_registry().reset()
@@ -132,8 +133,12 @@ class TestBatchPipeline:
         obs.enable()
         obs.add_sink(Sink())
         try:
-            with injected(stage_fail={"theta_hm": 1}):
-                find_plotters(overlaid_day.store, hosts=campus_day.all_hosts)
+            with injected(stage_fail={"extract_features": 1}):
+                find_plotters(
+                    overlaid_day.store,
+                    hosts=campus_day.all_hosts,
+                    config=PipelineConfig(n_workers=2),
+                )
         finally:
             obs.disable()
             obs.get_registry().reset()
@@ -141,8 +146,8 @@ class TestBatchPipeline:
         degradations = [e for e in events if e.get("name") == "degradation"]
         assert len(degradations) == 1
         attrs = degradations[0]["attrs"]
-        assert attrs["stage"] == "theta_hm"
-        assert attrs["to_mode"] == "loop"
+        assert attrs["stage"] == "extract_features"
+        assert attrs["to_mode"] == "sequential"
 
 
 class TestOnlineDetector:
@@ -176,16 +181,3 @@ class TestOnlineDetector:
         with injected(io_errors=["verdict-log"]):
             with pytest.raises(OSError):
                 self.run_windows(detector)
-
-    def test_theta_hm_ladder_preserves_verdicts(self, tmp_path):
-        clean = OnlineDetector(HOSTS, window=WINDOW, config=CONFIG)
-        self.run_windows(clean)
-
-        degraded = OnlineDetector(HOSTS, window=WINDOW, config=CONFIG)
-        with injected(stage_fail={"theta_hm": 1}):
-            self.run_windows(degraded)
-        assert any(d.stage == "theta_hm" for d in degraded.degradations)
-        assert len(degraded.history) == len(clean.history)
-        for got, want in zip(degraded.history, clean.history):
-            assert got.suspects == want.suspects
-            assert got.reduced == want.reduced

@@ -22,7 +22,7 @@ class TestExplainHost:
         if not result.suspects:
             pytest.skip("no suspects at this tiny scale")
         host = sorted(result.suspects)[0]
-        explanation = explain_host(result, store, host)
+        explanation = explain_host(result, host)
         assert explanation.flagged
         stage_names = [s.stage for s in explanation.stages]
         assert stage_names[0] == "reduction"
@@ -37,20 +37,20 @@ class TestExplainHost:
     def test_unflagged_host_names_failed_stage(self, explained):
         result, store, campus = explained
         cleared = sorted(campus.all_hosts - result.suspects)[0]
-        explanation = explain_host(result, store, cleared)
+        explanation = explain_host(result, cleared)
         assert not explanation.flagged
         assert explanation.failed_stage is not None
 
     def test_silent_host_not_evaluated(self, explained):
         result, store, _campus = explained
-        explanation = explain_host(result, store, "10.99.99.99")
+        explanation = explain_host(result, "10.99.99.99")
         assert not explanation.flagged
         assert all(not s.passed for s in explanation.stages)
 
     def test_cluster_members_are_other_hosts(self, explained):
         result, store, _campus = explained
         for host in sorted(result.suspects):
-            explanation = explain_host(result, store, host)
+            explanation = explain_host(result, host)
             assert host not in explanation.cluster_members
             # Flagged hosts sit in >= 2-host clusters by construction.
             assert explanation.cluster_members
@@ -66,48 +66,28 @@ class TestClusterReuse:
     def test_explain_reuses_it_without_reclustering(
         self, explained, monkeypatch
     ):
-        import repro.detection.explain as explain_mod
+        import repro.detection.humanmachine as hm_mod
 
-        result, store, _campus = explained
+        result, _store, _campus = explained
         if not result.suspects:
             pytest.skip("no suspects at this tiny scale")
 
         def boom(*args, **kwargs):
             raise AssertionError("explain_host re-ran cluster_hosts")
 
-        monkeypatch.setattr(explain_mod, "cluster_hosts", boom)
-        monkeypatch.setattr(explain_mod, "host_histograms", boom)
+        monkeypatch.setattr(hm_mod, "cluster_hosts", boom)
+        monkeypatch.setattr(hm_mod, "host_histograms", boom)
         host = sorted(result.suspects)[0]
-        explanation = explain_host(result, store, host)
+        explanation = explain_host(result, host)
         assert explanation.flagged
         assert explanation.cluster_members
-
-    def test_fallback_recomputes_when_detail_absent(self, explained):
-        import dataclasses
-
-        result, store, _campus = explained
-        if not result.suspects:
-            pytest.skip("no suspects at this tiny scale")
-        stripped = dataclasses.replace(
-            result, hm=dataclasses.replace(result.hm, detail=None)
-        )
-        host = sorted(result.suspects)[0]
-        # Old-style results (no carried clustering) still explain, by
-        # re-clustering from the store — and land on the same evidence.
-        fresh = explain_host(stripped, store, host)
-        carried = explain_host(result, store, host)
-        assert fresh.cluster_members == carried.cluster_members
-        assert fresh.cluster_diameter == pytest.approx(
-            carried.cluster_diameter
-        )
-        assert fresh.flagged == carried.flagged
 
 
 class TestFormatting:
     def test_render_contains_verdict_and_comparisons(self, explained):
         result, store, campus = explained
         host = sorted(campus.all_hosts)[0]
-        text = format_explanation(explain_host(result, store, host))
+        text = format_explanation(explain_host(result, host))
         assert text.startswith(f"host {host}:")
         assert "reduction" in text
         assert "<" in text or ">" in text or "not evaluated" in text

@@ -10,7 +10,10 @@ from repro.detection.humanmachine import (
     theta_hm,
 )
 from repro.flows import FlowRecord, FlowStore, Protocol
+from repro.flows.parallel import extract_features_parallel as features_of
 from repro.stats.histogram import build_histogram
+
+from ..stats.test_emd import loop_cluster_hosts
 
 
 def periodic_flows(src, period, n, phase=0.0, dst="peer"):
@@ -41,16 +44,16 @@ def irregular_flows(src, seed, n, dst="site"):
 class TestHostHistograms:
     def test_min_samples_enforced(self):
         store = FlowStore(periodic_flows("few", 10.0, 3))
-        assert host_histograms(store, ["few"]) == {}
+        assert host_histograms(features_of(store), ["few"]) == {}
 
     def test_log_scale_positions(self):
         store = FlowStore(periodic_flows("bot", 100.0, 50))
-        hist = host_histograms(store, ["bot"])["bot"]
+        hist = host_histograms(features_of(store), ["bot"])["bot"]
         assert hist.centers[0] == pytest.approx(2.0, abs=0.1)  # log10(100)
 
     def test_raw_scale_positions(self):
         store = FlowStore(periodic_flows("bot", 100.0, 50))
-        hist = host_histograms(store, ["bot"], log_scale=False)["bot"]
+        hist = host_histograms(features_of(store), ["bot"], log_scale=False)["bot"]
         assert hist.centers[0] == pytest.approx(100.0, abs=1.0)
 
 
@@ -123,10 +126,10 @@ class TestClusterHosts:
             flows += irregular_flows(f"human{i}", seed=i + 1, n=60)
         store = FlowStore(flows)
         hosts = [f"bot{i}" for i in range(3)] + [f"human{i}" for i in range(3)]
-        histograms = host_histograms(store, hosts)
-        results = [
+        histograms = host_histograms(features_of(store), hosts)
+        results = [loop_cluster_hosts(histograms, 70.0)] + [
             cluster_hosts(histograms, 70.0, backend=backend)
-            for backend in ("loop", "vectorized", "parallel")
+            for backend in ("vectorized", "pruned")
         ]
         assert results[0].clusters == results[1].clusters == results[2].clusters
         assert results[0].kept == results[1].kept == results[2].kept
@@ -139,7 +142,7 @@ class TestClusterHosts:
             flows += irregular_flows(f"human{i}", seed=i + 1, n=60)
         store = FlowStore(flows)
         hosts = [f"bot{i}" for i in range(4)] + [f"human{i}" for i in range(4)]
-        histograms = host_histograms(store, hosts)
+        histograms = host_histograms(features_of(store), hosts)
         clustering = cluster_hosts(histograms, 70.0, cut_fraction=0.3)
         bot_cluster = next(
             (c for c in clustering.clusters if "bot0" in c), None
@@ -157,7 +160,7 @@ class TestThetaHm:
             flows += irregular_flows(f"human{i}", seed=10 + 3 * i, n=80)
         store = FlowStore(flows)
         hosts = {f"bot{i}" for i in range(5)} | {f"human{i}" for i in range(8)}
-        result = theta_hm(store, hosts, percentile=30.0, cut_fraction=0.3)
+        result = theta_hm(features_of(store), hosts, percentile=30.0, cut_fraction=0.3)
         bots = {f"bot{i}" for i in range(5)}
         assert bots <= result.selected_set
         humans_kept = result.selected_set - bots
@@ -168,11 +171,11 @@ class TestThetaHm:
         for i in range(3):
             flows += periodic_flows(f"bot{i}", 25.0, 40, phase=i * 0.2)
         store = FlowStore(flows)
-        result = theta_hm(store, {f"bot{i}" for i in range(3)}, 70.0)
+        result = theta_hm(features_of(store), {f"bot{i}" for i in range(3)}, 70.0)
         assert set(result.metric) == {f"bot{i}" for i in range(3)}
         assert all(v >= 0 for v in result.metric.values())
 
     def test_hosts_without_samples_never_selected(self):
         store = FlowStore(periodic_flows("bot", 25.0, 40))
-        result = theta_hm(store, {"bot", "silent"}, 70.0)
+        result = theta_hm(features_of(store), {"bot", "silent"}, 70.0)
         assert "silent" not in result.selected_set

@@ -174,9 +174,10 @@ class TestDisabledModeSilence:
 
 class TestConfigValidation:
     def test_bad_backend_fails_at_construction(self):
-        with pytest.raises(ValueError, match="unknown hm_backend"):
-            PipelineConfig(hm_backend="cuda")
+        for backend in ("cuda", "loop", "parallel"):
+            with pytest.raises(ValueError, match="unknown hm_backend"):
+                PipelineConfig(hm_backend=backend)
 
     def test_all_known_backends_accepted(self):
-        for backend in ("auto", "loop", "vectorized", "parallel"):
+        for backend in ("auto", "vectorized", "pruned"):
             assert PipelineConfig(hm_backend=backend).hm_backend == backend

@@ -11,8 +11,8 @@ decision boundaries the pruned EMD engine must never flip:
                     the pruned engine must certify and cut identically.
 * ``tau_dust``    — two cluster diameters straddle τ_hm's keep
                     tolerance (τ + 1e-9) by 2^-48 below and 2^-28
-                    above; keep/drop must match the loop backend on
-                    both sides.
+                    above; keep/drop must match the exact vectorized
+                    engine on both sides.
 
 Every host is a point-mass histogram at a dyadic-rational position, so
 EMD values, UPGMA merge weights and diameters are *bit-exact* in IEEE
@@ -106,7 +106,7 @@ def build_tau_population() -> tuple:
         return hosts
 
     ref = cluster_hosts(
-        as_host_dict(build(diameters)), PERCENTILE, backend="loop"
+        as_host_dict(build(diameters)), PERCENTILE, backend="vectorized"
     )
     threshold = ref.threshold
     assert threshold == 1.0, f"expected τ_hm exactly 1.0, got {threshold!r}"
@@ -137,7 +137,7 @@ def verify(entry: dict) -> None:
     """Check every pinned expectation before the corpus is written."""
     hosts = entry["hosts"]
     hists = to_histograms(hosts)
-    ref = cluster_hosts(as_host_dict(hosts), PERCENTILE, backend="loop")
+    ref = cluster_hosts(as_host_dict(hosts), PERCENTILE, backend="vectorized")
     got = cluster_hosts(as_host_dict(hosts), PERCENTILE, backend="pruned")
     assert got.clusters == ref.clusters, entry["name"]
     assert got.kept == ref.kept, entry["name"]

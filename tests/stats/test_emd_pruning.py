@@ -1,7 +1,8 @@
 """Equivalence suite for the candidate-pruned pairwise-EMD engine.
 
 The pruned engine (:mod:`repro.stats.emdindex`) must be *exact*: the
-same suspect set, cluster partition and diameters as the loop backend,
+same suspect set, cluster partition and diameters as the per-pair loop
+oracle and the vectorized engine,
 to float dust, on every population — whether it certifies a group
 decomposition or declares a fallback and runs the exact path.  These
 tests pin both the certified route (well-separated timer families) and
@@ -21,9 +22,7 @@ from repro.stats.clustering import (
 )
 from repro.stats.emd import (
     PAIRWISE_BACKENDS,
-    PARALLEL_MIN_HOSTS,
     PRUNED_MIN_HOSTS,
-    VECTORIZED_MIN_HOSTS,
     emd_1d,
     pairwise_emd,
     resolve_backend,
@@ -36,7 +35,13 @@ from repro.stats.emdindex import (
 )
 from repro.stats.histogram import build_histogram
 
-from .test_emd import hist, histogram_strategy, random_population
+from .test_emd import (
+    hist,
+    histogram_strategy,
+    loop_cluster_hosts,
+    pairwise_loop,
+    random_population,
+)
 
 DEFAULT_CUT = 0.05
 
@@ -61,7 +66,7 @@ def modal_population(n_hosts, n_modes, seed=7, spread=0.02, gap=1.5):
 
 def reference_partition(histograms, cut_fraction=DEFAULT_CUT):
     """Ground truth: full matrix, full UPGMA, top-links cut."""
-    matrix = pairwise_emd(histograms, backend="loop")
+    matrix = pairwise_loop(histograms)
     members = cut_top_links(average_linkage(matrix), cut_fraction)
     return members, cluster_diameters(matrix, members), matrix
 
@@ -100,7 +105,7 @@ class TestLowerBoundProperty:
         index = build_index(hists)
         rows, cols = np.triu_indices(len(hists), k=1)
         bounds = index.lower_bounds(rows, cols)
-        exact = pairwise_emd(hists, backend="loop")[rows, cols]
+        exact = pairwise_loop(hists)[rows, cols]
         violations = bounds - exact
         assert float(violations.max()) <= 1e-9
 
@@ -133,7 +138,7 @@ class TestPrunedMatrix:
         hists = random_population(seed=n_hosts, n_hosts=n_hosts)
         np.testing.assert_allclose(
             pruned_matrix(hists),
-            pairwise_emd(hists, backend="loop"),
+            pairwise_loop(hists),
             atol=1e-12,
             rtol=0.0,
         )
@@ -170,7 +175,7 @@ class TestPrunedMatrix:
         hists = random_population(seed=11, n_hosts=40)
         np.testing.assert_allclose(
             pairwise_emd(hists, backend="pruned"),
-            pairwise_emd(hists, backend="loop"),
+            pairwise_loop(hists),
             atol=1e-12,
             rtol=0.0,
         )
@@ -212,7 +217,7 @@ class TestPrunedPartition:
         members, diameters, report = pruned_partition(hists, 0.0)
         assert report.fallback_reason == "no-cut"
         ref = cut_top_links(
-            average_linkage(pairwise_emd(hists, backend="loop")), 0.0
+            average_linkage(pairwise_loop(hists)), 0.0
         )
         assert [list(m) for m in members] == [list(m) for m in ref]
 
@@ -277,7 +282,7 @@ class TestClusterHostsEquivalence:
     @pytest.mark.parametrize("percentile", [50.0, 70.0, 90.0])
     def test_identical_suspect_sets(self, population, percentile):
         histograms = _as_host_dict(population())
-        ref = cluster_hosts(histograms, percentile, backend="loop")
+        ref = loop_cluster_hosts(histograms, percentile)
         got = cluster_hosts(histograms, percentile, backend="pruned")
         assert got.backend == "pruned"
         assert got.clusters == ref.clusters
@@ -299,7 +304,7 @@ class TestClusterHostsEquivalence:
             )
             hists.append(build_histogram(samples.tolist()))
         histograms = _as_host_dict(hists)
-        ref = cluster_hosts(histograms, 70.0, backend="loop")
+        ref = loop_cluster_hosts(histograms, 70.0)
         got = cluster_hosts(histograms, 70.0, backend="pruned")
         assert got.kept == ref.kept
         assert got.clusters == ref.clusters
@@ -309,7 +314,7 @@ class TestClusterHostsEquivalence:
         h_bot2 = hist([40.0], [1.0])
         loose = random_population(seed=8, n_hosts=30)
         histograms = _as_host_dict([h_bot] * 10 + [h_bot2] * 10 + loose)
-        ref = cluster_hosts(histograms, 70.0, backend="loop")
+        ref = loop_cluster_hosts(histograms, 70.0)
         got = cluster_hosts(histograms, 70.0, backend="pruned")
         assert got.kept == ref.kept
         assert got.threshold == pytest.approx(ref.threshold, abs=1e-12)
@@ -321,7 +326,7 @@ class TestClusterHostsEquivalence:
     )
     def test_hypothesis_populations(self, hists, percentile):
         histograms = _as_host_dict(hists)
-        ref = cluster_hosts(histograms, percentile, backend="loop")
+        ref = loop_cluster_hosts(histograms, percentile)
         got = cluster_hosts(histograms, percentile, backend="pruned")
         assert got.kept == ref.kept
         assert got.clusters == ref.clusters
@@ -331,69 +336,47 @@ class TestClusterHostsEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Backend resolution: every boundary of the escalation ladder
+# Backend resolution: the one boundary of "auto"
 # ----------------------------------------------------------------------
 class TestResolveBackend:
-    def test_boundary_constants_are_ordered(self):
-        assert VECTORIZED_MIN_HOSTS < PARALLEL_MIN_HOSTS < PRUNED_MIN_HOSTS
-
     @pytest.mark.parametrize(
         "n_hosts, cores, expected",
         [
-            (0, 1, "loop"),
-            (VECTORIZED_MIN_HOSTS - 1, 1, "loop"),
-            (VECTORIZED_MIN_HOSTS, 1, "vectorized"),
-            (PARALLEL_MIN_HOSTS - 1, 8, "vectorized"),
-            (PARALLEL_MIN_HOSTS, 8, "parallel"),
-            # Parallel needs actual cores; a single-core box stays
-            # vectorized until the pruned rung takes over.
-            (PARALLEL_MIN_HOSTS, 1, "vectorized"),
+            (0, 1, "vectorized"),
+            (3, 1, "vectorized"),
+            (4, 1, "vectorized"),
+            (1499, 8, "vectorized"),
+            (1500, 1, "vectorized"),
+            (1500, 8, "vectorized"),
             (PRUNED_MIN_HOSTS - 1, 1, "vectorized"),
-            (PRUNED_MIN_HOSTS - 1, 8, "parallel"),
+            (PRUNED_MIN_HOSTS - 1, 8, "vectorized"),
             (PRUNED_MIN_HOSTS, 1, "pruned"),
             (PRUNED_MIN_HOSTS, 8, "pruned"),
         ],
     )
-    def test_auto_escalation_boundaries(self, n_hosts, cores, expected):
-        assert resolve_backend("auto", n_hosts, cores=cores) == expected
+    def test_auto_escalation_boundaries(
+        self, n_hosts, cores, expected, monkeypatch
+    ):
+        # The one boundary is PRUNED_MIN_HOSTS; the machine's core
+        # count plays no part in the resolution.
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        assert resolve_backend("auto", n_hosts) == expected
 
-    @pytest.mark.parametrize(
-        "n_hosts, cores, expected",
-        [
-            (PRUNED_MIN_HOSTS, 8, "parallel"),
-            (PRUNED_MIN_HOSTS, 1, "vectorized"),
-            (10**6, 8, "parallel"),
-        ],
-    )
-    def test_exact_stops_escalation_at_parallel(self, n_hosts, cores, expected):
-        assert resolve_backend("auto", n_hosts, cores=cores, exact=True) == expected
-
-    def test_explicit_pruned_with_exact_resolves_as_auto(self):
-        # The escape hatch wins over an explicit pruned request.
-        assert (
-            resolve_backend("pruned", 10, cores=1, exact=True) == "vectorized"
-        )
-        assert (
-            resolve_backend("pruned", PRUNED_MIN_HOSTS, cores=8, exact=True)
-            == "parallel"
-        )
-
-    @pytest.mark.parametrize("backend", ["loop", "vectorized", "parallel", "pruned"])
+    @pytest.mark.parametrize("backend", ["vectorized", "pruned"])
     def test_explicit_backends_pass_through(self, backend):
-        assert resolve_backend(backend, 2, cores=1) == backend
-        assert resolve_backend(backend, 10**6, cores=8) == backend
+        assert resolve_backend(backend, 2) == backend
+        assert resolve_backend(backend, 10**6) == backend
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", 10)
+        for backend in ("gpu", "loop", "parallel"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(backend, 10)
 
     def test_never_returns_auto(self):
         for n in (0, 3, 4, 1500, 4000, 10**5):
-            for cores in (1, 2, 16):
-                for exact in (False, True):
-                    resolved = resolve_backend("auto", n, cores=cores, exact=exact)
-                    assert resolved in PAIRWISE_BACKENDS
-                    assert resolved != "auto"
+            resolved = resolve_backend("auto", n)
+            assert resolved in PAIRWISE_BACKENDS
+            assert resolved != "auto"
 
 
 class TestEscalationObservability:
@@ -403,12 +386,11 @@ class TestEscalationObservability:
         assert result.backend == "vectorized"
         explicit = cluster_hosts(histograms, 70.0, backend="pruned")
         assert explicit.backend == "pruned"
-        exact = cluster_hosts(histograms, 70.0, backend="pruned", exact=True)
-        assert exact.backend == "vectorized"
 
-    def test_loop_population_reports_loop(self):
+    def test_small_population_reports_vectorized(self):
         histograms = _as_host_dict(random_population(seed=2, n_hosts=3))
-        assert cluster_hosts(histograms, 70.0, backend="auto").backend == "loop"
+        result = cluster_hosts(histograms, 70.0, backend="auto")
+        assert result.backend == "vectorized"
 
     def test_resolved_backend_lands_on_span(self):
         from repro import obs

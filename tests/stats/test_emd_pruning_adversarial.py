@@ -11,8 +11,8 @@ boundaries downstream of the EMD matrix:
 Hosts are point masses at dyadic positions, so distances, merge
 weights and diameters are bit-exact — the adversarial gaps (2^-30 at
 the cut, ±2^-32 around the τ tolerance) land exactly where placed,
-and any divergence between the pruned and loop engines is a real
-decision flip, not arithmetic noise.
+and any divergence between the pruned engine and the per-pair loop
+oracle is a real decision flip, not arithmetic noise.
 """
 
 import json
@@ -24,6 +24,8 @@ import pytest
 from repro.detection.humanmachine import cluster_hosts
 from repro.stats.emdindex import pruned_partition
 from repro.stats.histogram import Histogram
+
+from .test_emd import loop_cluster_hosts
 
 CORPUS_PATH = Path(__file__).parent / "data" / "pruning_corpus.json"
 
@@ -56,7 +58,7 @@ def corpus_host_dict(entry):
 class TestCorpusEquivalence:
     def test_pruned_matches_loop_exactly(self, entry):
         histograms = corpus_host_dict(entry)
-        ref = cluster_hosts(histograms, entry["percentile"], backend="loop")
+        ref = loop_cluster_hosts(histograms, entry["percentile"])
         got = cluster_hosts(histograms, entry["percentile"], backend="pruned")
         assert got.clusters == ref.clusters
         assert got.kept == ref.kept
@@ -109,9 +111,7 @@ class TestCorpusShape:
 
     def test_tau_dust_diameters_straddle_the_tolerance(self):
         entry = next(e for e in CORPUS if e["name"] == "tau_dust")
-        ref = cluster_hosts(
-            corpus_host_dict(entry), entry["percentile"], backend="loop"
-        )
+        ref = loop_cluster_hosts(corpus_host_dict(entry), entry["percentile"])
         edge = ref.threshold + 1e-9
         above = [d for d in ref.diameters if ref.threshold < d <= edge]
         below_2 = [d for d in ref.diameters if edge < d < 2.0]
