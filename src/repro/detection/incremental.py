@@ -6,11 +6,14 @@ wants the same verdicts *while the window fills*: ingest flows as they
 arrive, re-evaluate periodically, keep memory bounded.
 
 :class:`OnlineDetector` composes the streaming feature extractor with
-the detection tests.  Flows are ingested one at a time; at any moment
-:meth:`evaluate` runs the FindPlotters logic over the features
-accumulated in the current window.  Windows tumble: when a flow arrives
-past the window end, the window is finalised (its result retained in
-``history``) and a new one starts.
+the detection tests.  Flows are ingested in column chunks
+(:meth:`~OnlineDetector.ingest_columns`; records through
+:meth:`~OnlineDetector.ingest`/:meth:`~OnlineDetector.ingest_many`); at
+any moment :meth:`evaluate` runs the FindPlotters logic over the
+features accumulated in the current window.  Windows tumble: when a
+flow arrives past the window end, the window is finalised (its result
+retained in ``history``) and a new one starts — at the same row
+whatever the chunking.
 
 Fidelity note: the evaluation *is* the batch pipeline's stage core
 (:func:`repro.detection.pipeline.run_stages`) run on the streamed
@@ -27,12 +30,24 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from ..flows.metrics import HostFeatures
 from ..flows.record import FlowRecord
 from ..flows.store import FlowStore
-from ..flows.streaming import StreamingFeatureExtractor
+from ..flows.streaming import StreamingFeatureExtractor, record_columns
 from ..obs import metrics as obs_metrics
 from ..obs.tracing import span
 from ..resilience import Degradation, StageGuard, atomic_write_text
@@ -344,28 +359,85 @@ class OnlineDetector:
         k = math.floor((t - self.window_origin) / self.window)
         return self.window_origin + k * self.window
 
-    def ingest(self, flow: FlowRecord) -> None:
-        """Feed one flow; rolls the window when the flow starts past it."""
+    def ingest_columns(
+        self,
+        names: Sequence[str],
+        src_codes,
+        dst_codes,
+        starts,
+        src_bytes,
+        success,
+    ) -> None:
+        """Feed one column chunk of flows, in chunk (arrival) order.
+
+        ``src_codes``/``dst_codes`` index ``names``; the columns are
+        those :meth:`repro.storage.writer.SegmentWriter.extend` takes.
+        The chunk is cut at every row that starts at or past the
+        current window's end: the rows before the cut go to the spool
+        and then the extractor, the window is finalised and advanced
+        by whole windows, and the rest of the chunk continues in the
+        new window — so any split of a stream into chunks tumbles
+        exactly where flow-by-flow arrival would.  Rows need not be
+        sorted.
+        """
+        starts = np.asarray(starts, dtype=np.float64)
+        n = len(starts)
+        if n == 0:
+            return
+        columns = (
+            np.asarray(src_codes, dtype=np.int64),
+            np.asarray(dst_codes, dtype=np.int64),
+            starts,
+            np.asarray(src_bytes, dtype=np.int64),
+            np.asarray(success, dtype=np.int64),
+        )
+        first = 0
         if self._window_start is None:
-            self._window_start = self._aligned_start(flow.start)
-        elif flow.start >= self._window_start + self.window:
-            self._finalize(self._window_start + self.window)
+            # The opening row sets the window and is never tested
+            # against it.
+            self._window_start = self._aligned_start(float(starts[0]))
+            first = 1
+        # Running maximum of the starts: the first row at or past a
+        # window end is where the running maximum first reaches it.
+        # Every row before a cut lies inside the window being cut, so
+        # one binary search per window finds each cut.
+        running_max = np.maximum.accumulate(starts[first:])
+        lo = 0
+        while lo < n:
+            end = self._window_start + self.window
+            cut = first + int(np.searchsorted(running_max, end, side="left"))
+            if cut > lo:
+                self._ingest_rows(names, [column[lo:cut] for column in columns])
+            if cut == n:
+                break
+            self._finalize(end)
             # Advance by whole windows so a long gap skips empty ones.
-            while flow.start >= self._window_start + self.window:
+            tumbling = float(starts[cut])
+            while tumbling >= self._window_start + self.window:
                 self._window_start += self.window
+            lo = cut
+
+    def _ingest_rows(self, names: Sequence[str], columns) -> None:
+        """Spool, then account, one slice of a chunk inside one window."""
         if self._spool_writer is not None:
             try:
-                self._spool_writer.add(flow)
+                self._spool_writer.extend(names, *columns)
             except OSError as exc:
                 if not self.config.degrade:
                     raise
                 self._disable_spool(exc)
-        self._extractor.update(flow)
+        self._extractor.update_columns(names, *columns)
 
-    def ingest_many(self, flows) -> None:
-        """Feed an iterable of flows (must be roughly time-ordered)."""
-        for flow in flows:
-            self.ingest(flow)
+    def ingest(self, flow: FlowRecord) -> None:
+        """Feed one flow; rolls the window when the flow starts past it."""
+        self.ingest_many((flow,))
+
+    def ingest_many(self, flows: Iterable[FlowRecord]) -> None:
+        """Feed an iterable of flows, in iteration order."""
+        chunk, _, error = record_columns(flows)
+        self.ingest_columns(*chunk)
+        if error is not None:
+            raise error
 
     def _disable_spool(self, exc: BaseException) -> None:
         """Degrade to unspooled operation after a storage write failure.

@@ -70,7 +70,9 @@ import numpy as np
 
 from ..detection.pipeline import PipelineResult, find_plotters
 from ..flows.argus import loads_report
+from ..flows.batch import AddressBook, FlowBatch
 from ..flows.store import FlowStore
+from ..flows.streaming import ColumnChunk
 from ..obs import metrics as obs_metrics
 from ..obs.http import MetricsServer
 from ..obs.ledger import suspects_checksum
@@ -81,7 +83,7 @@ from ..storage.format import StorageError
 from .config import ServeConfig
 from .journal import COORD_LOG_NAME, CoordinatorLog, LogState
 from .sharding import ShardMap
-from .worker import worker_main
+from .worker import replay_columns, worker_main
 
 __all__ = ["ServeCoordinator", "BacklogFull", "NotLeader"]
 
@@ -456,13 +458,17 @@ class ServeCoordinator:
                 self.config,
                 inbox,
                 outbox,
-                str(self._shard_dir(shard)),
-                replay_t0,
             ),
             name=f"repro-serve-worker-{shard}.{incarnation}",
             daemon=True,
         )
         process.start()
+        # Gathered under the lock ingest spools under: rows accepted
+        # after this point reach the new worker as "flows" chunks only.
+        replay = replay_columns(self._writers[shard].store, replay_t0)
+        if replay is not None:
+            self._seq += 1
+            inbox.put(("replay", self._seq, replay))
         self._workers[shard] = _Worker(
             shard,
             incarnation,
@@ -764,37 +770,37 @@ class ServeCoordinator:
         for code in np.unique(src_codes).tolist():
             shard_of_code[code] = self.shard_map.shard_of(names[code])
         row_shards = shard_of_code[src_codes]
-        batches: Dict[int, List] = {}
+        batches: Dict[int, ColumnChunk] = {}
         with self._lock:
             for shard in dict.fromkeys(row_shards.tolist()):
                 rows = np.flatnonzero(row_shards == shard)
-                shard_src = src_codes[rows]
-                self._writers[shard].extend(
-                    names,
-                    shard_src,
-                    dst_codes[rows],
+                # The shard's own address dictionary: only the names
+                # its rows use travel to its worker.
+                used, local = np.unique(
+                    np.concatenate((src_codes[rows], dst_codes[rows])),
+                    return_inverse=True,
+                )
+                shard_names = [names[code] for code in used.tolist()]
+                chunk = ColumnChunk(
+                    shard_names,
+                    local[: len(rows)],
+                    local[len(rows) :],
                     starts[rows],
                     src_bytes[rows],
                     success[rows],
                 )
+                self._writers[shard].extend(*chunk)
                 self._hosts_per_shard[shard].update(
-                    names[code] for code in np.unique(shard_src).tolist()
+                    shard_names[code]
+                    for code in np.unique(chunk.src_codes).tolist()
                 )
-                batches[shard] = list(
-                    zip(
-                        [names[code] for code in shard_src.tolist()],
-                        [names[code] for code in dst_codes[rows].tolist()],
-                        starts[rows].tolist(),
-                        src_bytes[rows].tolist(),
-                        (success[rows] == 1).tolist(),
-                    )
-                )
+                batches[shard] = chunk
             reply: Dict[str, object] = {
                 "rows_ok": len(flows),
                 "rows_bad": report.rows_bad,
                 "shards": {
-                    str(shard): len(rows)
-                    for shard, rows in sorted(batches.items())
+                    str(shard): len(chunk.starts)
+                    for shard, chunk in sorted(batches.items())
                 },
             }
             if self.config.durable_acks:
@@ -819,13 +825,13 @@ class ServeCoordinator:
                             "reply": reply,
                         }
                     )
-            for shard, rows in batches.items():
+            for shard, chunk in batches.items():
                 if shard in self._quarantined:
                     continue  # durable in the spool; drain covers it
                 self._seq += 1
-                self._workers[shard].inbox.put(("flows", self._seq, rows))
+                self._workers[shard].inbox.put(("flows", self._seq, chunk))
                 with self._state_lock:
-                    self._pending[shard] += len(rows)
+                    self._pending[shard] += len(chunk.starts)
             with self._state_lock:
                 _BACKLOG.set(sum(self._pending.values()))
                 if client is not None:
@@ -967,8 +973,15 @@ class ServeCoordinator:
     # Drain
     # ------------------------------------------------------------------
     def _combined_store(self) -> FlowStore:
-        """Every epoch's shard spools, unioned into one in-memory store."""
-        combined = FlowStore()
+        """Every epoch's shard spools, unioned into one in-memory store.
+
+        One :class:`~repro.flows.batch.FlowBatch` over every spool's
+        gathered columns (the storage plane's neutral projection, see
+        :meth:`~repro.storage.view.StoreView.batch`), coded through one
+        shared address dictionary — no per-row record is made.
+        """
+        book = AddressBook()
+        parts = []
         for spool_dir in self._spool_dirs:
             try:
                 store = SegmentStore.open(spool_dir)
@@ -976,8 +989,8 @@ class ServeCoordinator:
                 continue
             if store.total_rows == 0:
                 continue
-            combined.extend(store.view().records())
-        return combined
+            parts.append(store.view().batch(book))
+        return FlowStore.from_batch(FlowBatch.concat(parts, book.names))
 
     def drain(self) -> Tuple[PipelineResult, Dict[str, object]]:
         """SIGTERM path: finalise everything, batch-rescore the spools.

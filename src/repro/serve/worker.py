@@ -7,7 +7,10 @@ incarnation — a SIGKILLed producer can leave a queue unusable, so a
 replacement worker never inherits its predecessor's):
 
 inbox (coordinator → worker)
-    ``("flows", seq, rows)`` — ingest projected flow rows;
+    ``("replay", seq, chunk)`` — a new incarnation's first message when
+    its shard's spool holds rows to replay (see below);
+    ``("flows", seq, chunk)`` — ingest one column chunk
+    (``names, src_codes, dst_codes, starts, src_bytes, success``);
     ``("evaluate", seq, at)`` — score the current (unfinished) window;
     ``("finalize", seq, at)`` — tumble the current window early
     (drain / rebalance barrier);
@@ -24,11 +27,20 @@ Workers are intentionally stateless beyond the current window: the
 coordinator owns the per-shard spool, so a killed worker's replacement
 simply replays the spool from the last finalised window boundary
 (``replay_t0``) on the same window grid (``window_origin``) and ends up
-scoring the identical window the dead worker was filling.  Flows
-travel as rows of the storage plane's five columns, built by the
-coordinator straight from the parsed columns and turned back into
-records by :func:`record_of`, so live ingest and spool replay feed the
-detector byte-for-byte the same records.
+scoring the identical window the dead worker was filling.  The
+coordinator gathers that replay (:func:`replay_columns`) and puts it on
+the new inbox while it holds the lock ingest spools under, so every
+row is either in the replay or in a later ``flows`` chunk — never in
+both, however long the worker takes to boot.
+
+Flows travel as column chunks
+(:class:`~repro.flows.streaming.ColumnChunk`): a shard-local address
+dictionary plus the storage plane's five columns, the same columns the
+coordinator appends to the shard's spool.  Live chunks and the replay
+both go straight into
+:meth:`~repro.detection.incremental.OnlineDetector.ingest_columns`, so
+the detector cannot tell the two paths apart and no per-flow object is
+ever built.
 """
 
 from __future__ import annotations
@@ -36,67 +48,50 @@ from __future__ import annotations
 import json
 import os
 from queue import Empty
-from typing import List, Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from ..detection.incremental import OnlineDetector
-from ..flows.record import FlowRecord, FlowState, Protocol
+from ..flows.streaming import ColumnChunk
 from ..obs import metrics as obs_metrics
 from ..resilience import faults
 from ..storage import SegmentStore
 from ..storage.format import StorageError
 from .config import ServeConfig
 
-__all__ = ["record_of", "replay_records", "worker_main"]
-
-#: The projected row a flow travels as: (src, dst, start, src_bytes,
-#: success) — exactly the columns the storage plane keeps and the
-#: features consume.
-Row = Tuple[str, str, float, int, bool]
+__all__ = ["replay_columns", "worker_main"]
 
 
-def record_of(row: Row) -> FlowRecord:
-    """Rebuild the synthetic record a projected row stands for.
-
-    Identical construction to
-    :meth:`repro.storage.view.StoreView._records`, so a record ingested
-    live equals the record a spool replay would rebuild for the same
-    row — the detector cannot tell the two paths apart.
-    """
-    src, dst, start, src_bytes, success = row
-    return FlowRecord(
-        src=src,
-        dst=dst,
-        sport=0,
-        dport=0,
-        proto=Protocol.TCP,
-        start=start,
-        end=start,
-        src_bytes=src_bytes,
-        state=FlowState.ESTABLISHED if success else FlowState.TIMEOUT,
-    )
-
-
-def replay_records(
-    spool_dir: str, replay_t0: Optional[float]
-) -> List[FlowRecord]:
+def replay_columns(
+    store: SegmentStore, replay_t0: Optional[float]
+) -> Optional[ColumnChunk]:
     """The shard spool's rows from ``replay_t0`` on, time-ordered.
 
     The gather returns rows grouped by host; tumbling-window ingest
     needs global time order (a late host group would straddle an
-    already-tumbled boundary), so the records are stable-sorted by
-    start — per-host order is already start-sorted and survives.
-    Returns ``[]`` when the spool is missing, unreadable or empty: a
+    already-tumbled boundary), so the rows are stable-sorted by start
+    — per-host order is already start-sorted and survives.  Returns
+    ``None`` when the spool holds no such rows or cannot be read: a
     fresh worker with nothing to replay.
     """
     try:
-        store = SegmentStore.open(spool_dir)
+        gathered = store.view(t0=replay_t0).gather()
     except (StorageError, OSError):
-        return []
-    if store.total_rows == 0:
-        return []
-    records = store.view(t0=replay_t0).records()
-    records.sort(key=lambda record: record.start)
-    return records
+        return None
+    if gathered.n_rows == 0:
+        return None
+    n_hosts = len(gathered.hosts)
+    src_codes = np.repeat(np.arange(n_hosts, dtype=np.int64), gathered.counts)
+    order = np.argsort(gathered.starts, kind="stable")
+    return ColumnChunk(
+        tuple(gathered.hosts) + tuple(gathered.dsts),
+        src_codes[order],
+        gathered.dst_codes[order] + n_hosts,
+        gathered.starts[order],
+        gathered.src_bytes[order],
+        gathered.success[order],
+    )
 
 
 def worker_main(
@@ -105,8 +100,6 @@ def worker_main(
     config: ServeConfig,
     inbox,
     outbox,
-    spool_dir: str,
-    replay_t0: Optional[float],
 ) -> None:
     """Run one shard's detection loop until told to stop (or killed)."""
     obs_metrics.enable()
@@ -123,14 +116,12 @@ def worker_main(
         window_origin=config.window_origin,
     )
 
-    def ingest(record: FlowRecord) -> None:
+    def ingest(chunk: ColumnChunk) -> None:
         if score_all:
-            detector.internal_hosts.add(record.src)
-        detector.ingest(record)
-
-    replayed = replay_records(spool_dir, replay_t0)
-    for record in replayed:
-        ingest(record)
+            detector.internal_hosts.update(
+                chunk.names[code] for code in np.unique(chunk.src_codes).tolist()
+            )
+        detector.ingest_columns(*chunk)
 
     shipped = 0
 
@@ -145,7 +136,7 @@ def worker_main(
         baseline = registry.state()
         outbox.put((kind, shard, incarnation, seq, payload, finals, delta))
 
-    ship("hello", 0, {"pid": os.getpid(), "replayed": len(replayed)})
+    ship("hello", 0, {"pid": os.getpid()})
 
     # Orphan watchdog: if the coordinator is SIGKILLed it can never
     # send "stop", and a worker blocked forever on the inbox would
@@ -162,16 +153,19 @@ def worker_main(
                 return
             continue
         command, seq = message[0], message[1]
-        if command == "flows":
-            rows = message[2]
-            for row in rows:
-                ingest(record_of(row))
+        if command == "replay":
+            chunk = message[2]
+            ingest(chunk)
+            ship("replayed", seq, {"rows": len(chunk.starts)})
+        elif command == "flows":
+            chunk = message[2]
+            ingest(chunk)
             # The injected OOM-kill strikes here — after a batch is in
             # window state but before anything ships — so recovery
             # tests exercise the full replay path, not a lucky
             # already-shipped corner.
             faults.serve_worker_exit_once()
-            ship("ack", seq, {"rows": len(rows)})
+            ship("ack", seq, {"rows": len(chunk.starts)})
         elif command == "evaluate":
             verdict = detector.evaluate(message[2])
             ship("evaluated", seq, json.loads(verdict.to_json()))

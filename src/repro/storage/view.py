@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..flows.batch import PROTOCOLS, STATES, AddressBook, FlowBatch
 from ..flows.parallel import _columns_core, _ShardColumns
 from ..flows.record import FlowRecord, FlowState, Protocol
 from ..flows.store import ColumnarFlows, columnar_from_columns
@@ -45,6 +46,9 @@ __all__ = ["PARALLEL_SPEC_TAG", "StoreView"]
 #: opener refuses specs with any other tag, so an accidental payload
 #: cannot be misread as a store address.
 PARALLEL_SPEC_TAG = "repro-storage"
+
+_ESTABLISHED = STATES.index(FlowState.ESTABLISHED)
+_TIMEOUT = STATES.index(FlowState.TIMEOUT)
 
 
 class StoreView:
@@ -166,63 +170,64 @@ class StoreView:
         )
 
     # ------------------------------------------------------------------
-    # Record materialisation (reference/compatibility path)
+    # The neutral projection: columns, and records on request
     # ------------------------------------------------------------------
+    def batch(self, book: Optional[AddressBook] = None) -> FlowBatch:
+        """Every row in the view as a :class:`FlowBatch` (host-grouped).
+
+        The storage plane keeps only the feature-bearing columns, so
+        the batch carries neutral values for the rest: ports 0, TCP,
+        ``end = start``, no packets or responder bytes, no payload, and
+        ``state`` collapsed to established vs timeout — exactly the
+        projection every feature in :mod:`repro.flows.metrics`
+        consumes, which is why it yields bit-identical features.  Rows
+        come grouped by host in the gather's host order, start-sorted
+        within each host.  Addresses are coded through ``book`` (a
+        fresh dictionary by default), so batches of several stores can
+        share one and be concatenated — the serve drain's rescore.
+        """
+        return self._batch(self.gather(), AddressBook() if book is None else book)
+
     def flows_from(self, host: str) -> List[FlowRecord]:
         """``host``'s flows as synthetic records, in start-time order.
 
-        The storage plane keeps only the feature-bearing columns, so
-        the records come back with neutral ports/protocol/packet fields
-        and ``state`` collapsed to established vs timeout — exactly the
-        projection every feature in :mod:`repro.flows.metrics`
-        consumes, which is why the reference kernel still produces
-        bit-identical features from them.
+        Same neutral projection as :meth:`batch`.
         """
-        gathered = self.gather([host])
-        return self._records(gathered)
+        return self._batch(self.gather([host]), AddressBook()).records()
 
     def records(self) -> List[FlowRecord]:
         """Every row in the view as synthetic records (host-grouped).
 
-        Same projection caveats as :meth:`flows_from`; rows come back
-        grouped by host in the gather's host order, start-sorted within
-        each host.  This is the replay path: the serve coordinator
-        feeds these records to a fresh detector (restart) or an
-        in-memory store (drain rescore) and gets bit-identical features
-        because only the feature-bearing columns ever mattered.
+        The per-row view of :meth:`batch`; the detector and the serve
+        plane read columns and never call this.
         """
-        return self._records(self.gather())
+        return self.batch().records()
 
     @staticmethod
-    def _records(gathered: Gathered) -> List[FlowRecord]:
-        records: List[FlowRecord] = []
-        dsts = gathered.dsts
-        srcs: List[str] = []
-        for host, count in zip(gathered.hosts, gathered.counts.tolist()):
-            srcs.extend([host] * count)
-        for src, start, size, ok, dcode in zip(
-            srcs,
-            gathered.starts.tolist(),
-            gathered.src_bytes.tolist(),
-            gathered.success.tolist(),
-            gathered.dst_codes.tolist(),
-        ):
-            records.append(
-                FlowRecord(
-                    src=src,
-                    dst=dsts[dcode],
-                    sport=0,
-                    dport=0,
-                    proto=Protocol.TCP,
-                    start=start,
-                    end=start,
-                    src_bytes=size,
-                    state=(
-                        FlowState.ESTABLISHED if ok else FlowState.TIMEOUT
-                    ),
-                )
-            )
-        return records
+    def _batch(gathered: Gathered, book: AddressBook) -> FlowBatch:
+        n = gathered.n_rows
+        zeros = np.zeros(n, dtype=np.int64)
+        hosts = book.encode(gathered.hosts)
+        dsts = book.encode(gathered.dsts)
+        return FlowBatch(
+            addresses=book.names,
+            src_codes=np.repeat(hosts, gathered.counts),
+            dst_codes=dsts[gathered.dst_codes],
+            starts=gathered.starts,
+            ends=gathered.starts,
+            proto_codes=np.full(n, PROTOCOLS.index(Protocol.TCP), dtype=np.uint8),
+            sports=zeros,
+            dports=zeros,
+            src_pkts=zeros,
+            dst_pkts=zeros,
+            src_bytes=gathered.src_bytes,
+            dst_bytes=zeros,
+            state_codes=np.where(
+                gathered.success != 0, _ESTABLISHED, _TIMEOUT
+            ).astype(np.uint8),
+            payloads=b"",
+            payload_offsets=np.zeros(n + 1, dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Worker shipping

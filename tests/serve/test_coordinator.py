@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.detection.pipeline import find_plotters
 from repro.obs.ledger import suspects_checksum
 from repro.resilience import faults
@@ -80,6 +81,27 @@ class TestDrainEqualsBatch:
         assert doc["duplicate_verdicts"] == 0
         grid_ends = [v["evaluated_at"] for v in doc["finalized"]]
         assert all(end % WINDOW == 0 for end in grid_ends)
+
+
+class TestIngestTelemetry:
+    def test_merged_flows_ingested_equals_rows_ingested(
+        self, make_coordinator, trace_store, trace_csv
+    ):
+        """Workers count each column chunk once, with its row count."""
+        registry = obs.get_registry()
+        registry.reset()
+        try:
+            coordinator = make_coordinator(n_shards=2)
+            for chunk in _chunks(trace_csv, 6):
+                _post(coordinator.url + "/ingest", chunk)
+            _, report = coordinator.drain()
+            merged = obs.counter("repro_flows_ingested_total").value()
+        finally:
+            obs.disable()
+            registry.reset()
+        assert report["restarts"] == 0
+        assert report["rows_ingested"] == len(trace_store)
+        assert merged == report["rows_ingested"]
 
 
 class TestWorkerDeathRecovery:
